@@ -368,7 +368,8 @@ std::vector<exp::ScenarioResult> Harness::run(
 
 const std::vector<profile::AppProfile>& Harness::profiles() {
   if (!profiles_) {
-    profiles_ = cache_.suite_profiles(workloads::suite(), cfg_);
+    profiles_ = cache_.suite_profiles(workloads::suite(), cfg_, {},
+                                      opts_.threads);
   }
   return *profiles_;
 }

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   for (const auto& name : selected) {
     const auto points =
         h.cache().scalability(h.config(), workloads::benchmark(name),
-                              sm_counts);
+                              sm_counts, h.options().threads);
     table.begin_row().cell(name);
     const double base = points.front().ipc;
     for (const auto& pt : points) table.cell(pt.ipc / base, 3);

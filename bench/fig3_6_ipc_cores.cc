@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   Table table(header);
 
   for (const auto& kp : workloads::suite()) {
-    const auto points = h.cache().scalability(h.config(), kp, sm_counts);
+    const auto points = h.cache().scalability(h.config(), kp, sm_counts,
+                                              h.options().threads);
     table.begin_row().cell(kp.name);
     for (const auto& pt : points) table.cell(pt.ipc, 1);
   }

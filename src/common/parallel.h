@@ -1,6 +1,8 @@
 // Persistent fail-fast worker pool, shared by the experiment engine's
-// scenario batches, the interference matrix measurement and the simulator's
-// intra-run SM phase (sim::Gpu with GpuConfig::sim_threads > 1).
+// scenario batches and the cold-path fan-outs nested inside them (suite
+// solos, scalability points, a queue's co-run groups), the interference
+// matrix measurement and the simulator's intra-run SM phase (sim::Gpu with
+// GpuConfig::sim_threads > 1).
 //
 // One process-wide pool (WorkerPool::shared()) owns its threads for the
 // whole process lifetime, so fine-grained callers — the per-tick SM phase
@@ -203,6 +205,15 @@ void parallel_for(int threads, size_t n, const Fn& fn) {
     return;
   }
   WorkerPool::shared().run(threads, n, fn);
+}
+
+// The "0 = auto" width of the fan-out APIs built on parallel_for
+// (ProfileCache::suite_profiles / scalability, sched::QueueRunner): 0
+// selects the shared pool's full width, its helpers plus the calling
+// thread. Any other width passes through untouched, so an explicit width
+// of 1 stays a serial loop that never starts the pool.
+inline int resolve_width(int threads) {
+  return threads == 0 ? WorkerPool::shared().workers() + 1 : threads;
 }
 
 }  // namespace gpumas

@@ -89,7 +89,7 @@ std::shared_ptr<const std::vector<profile::AppProfile>>
 ExperimentRunner::profiles_stage(Env& env) {
   return force_stage(env.mu, env.profiles, [&] {
     return std::make_shared<const std::vector<profile::AppProfile>>(
-        cache_->suite_profiles(suite_, env.config, env.thresholds));
+        cache_->suite_profiles(suite_, env.config, env.thresholds, threads_));
   });
 }
 
@@ -121,7 +121,7 @@ std::shared_ptr<const sched::QueueRunner> ExperimentRunner::runner_stage(
     // artifact store (which outlives the engine by contract) and the
     // neutral model is a process-lifetime static.
     return std::make_shared<const sched::QueueRunner>(env.config, *profiles,
-                                                      *model, cache_);
+                                                      *model, cache_, threads_);
   });
 }
 
@@ -209,7 +209,7 @@ ScenarioResult ExperimentRunner::run_scenario(const ScenarioSpec& raw,
       model = measured.get();
     }
     local = std::make_unique<sched::QueueRunner>(spec.config, profiles,
-                                                 *model, cache_);
+                                                 *model, cache_, threads_);
     runner = local.get();
   } else {
     shared = runner_stage(*env, needs_model);

@@ -15,8 +15,14 @@
 // Workers pull scenarios from a shared index and write into a pre-sized
 // result vector, so `run()` returns reports in declaration order and
 // byte-identical results regardless of the thread count (the simulator
-// itself is deterministic and each scenario is independent). A batch can
-// additionally be sharded: `run(scenarios, Shard{i, n})` executes the
+// itself is deterministic and each scenario is independent). The same
+// `threads` width bounds the independent simulations nested inside a
+// scenario: the suite solos of the profile stage, each ProfileBased
+// scalability curve's points and a queue's co-run groups fan out on the
+// shared pool and are accumulated in declaration order too. A width of 1
+// keeps every level a serial loop that never starts the shared pool.
+//
+// A batch can additionally be sharded: `run(scenarios, Shard{i, n})` runs the
 // deterministic i-of-n slice (scenario j belongs to shard j % n), leaving
 // the other entries empty, so independent processes or machines can split
 // one batch and merge the unions trivially.

@@ -10,6 +10,7 @@
 
 #include "common/atomic_file.h"
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/text.h"
 #include "sim/config_io.h"
 #include "sim/gpu.h"
@@ -199,27 +200,45 @@ AppProfile ProfileCache::solo(const sim::GpuConfig& cfg,
 
 std::vector<ScalabilityPoint> ProfileCache::scalability(
     const sim::GpuConfig& cfg, const sim::KernelParams& kp,
-    const std::vector<int>& sm_counts) {
+    const std::vector<int>& sm_counts, int threads) {
+  // Validate the whole grid before any point simulates: a bad count must
+  // not leave the points ahead of it measured and others in flight.
+  for (const int n : sm_counts) GPUMAS_CHECK(n > 0 && n <= cfg.num_sms);
   // The fingerprints are invariant across the grid; hash once, not per
-  // point (ProfileBased queries this on every candidate split).
-  Key key{config_fingerprint(cfg), kernel_fingerprint(kp), 0, cfg.sim_mode};
-  std::vector<ScalabilityPoint> points;
-  points.reserve(sm_counts.size());
-  for (const int n : sm_counts) {
-    GPUMAS_CHECK(n > 0 && n <= cfg.num_sms);
-    key.sms = n;
-    points.push_back(
-        ScalabilityPoint{n, lookup(key, cfg, kp, n, /*scalability=*/true).ipc});
+  // point.
+  const Key base{config_fingerprint(cfg), kernel_fingerprint(kp), 0,
+                 cfg.sim_mode};
+  // A fully resident curve is read inline: a pool job for a handful of map
+  // reads costs more than the reads (the warm ProfileBased path).
+  size_t missing = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const int n : sm_counts) {
+      Key key = base;
+      key.sms = n;
+      if (entries_.count(key) == 0) ++missing;
+    }
   }
+  std::vector<ScalabilityPoint> points(sm_counts.size());
+  parallel_for(missing > 1 ? resolve_width(threads) : 1, sm_counts.size(),
+               [&](size_t i) {
+                 Key key = base;
+                 key.sms = sm_counts[i];
+                 points[i] = ScalabilityPoint{
+                     key.sms, lookup(key, cfg, kp, key.sms,
+                                     /*scalability=*/true).ipc};
+               });
   return points;
 }
 
 std::vector<AppProfile> ProfileCache::suite_profiles(
     const std::vector<sim::KernelParams>& kernels, const sim::GpuConfig& cfg,
-    const ClassifierThresholds& t) {
-  std::vector<AppProfile> profiles;
-  profiles.reserve(kernels.size());
-  for (const auto& kp : kernels) profiles.push_back(solo(cfg, kp, -1, t));
+    const ClassifierThresholds& t, int threads) {
+  // Each solo writes its own slot, so the vector is in suite order whatever
+  // order the workers finish in.
+  std::vector<AppProfile> profiles(kernels.size());
+  parallel_for(resolve_width(threads), kernels.size(),
+               [&](size_t i) { profiles[i] = solo(cfg, kernels[i], -1, t); });
   return profiles;
 }
 

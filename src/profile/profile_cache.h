@@ -136,14 +136,22 @@ class ProfileCache {
                   int num_sms = -1, const ClassifierThresholds& t = {});
 
   // Solo IPC at each SM count (the scalability curve), from cached points.
+  // Every count must lie in [1, cfg.num_sms]; the whole grid is checked
+  // before any point simulates. Missing points simulate concurrently on up
+  // to `threads` executors of the shared pool (0 = its full width, 1 = a
+  // serial loop that never starts it); the curve is in `sm_counts` order
+  // and identical for any width.
   std::vector<ScalabilityPoint> scalability(const sim::GpuConfig& cfg,
                                             const sim::KernelParams& kp,
-                                            const std::vector<int>& sm_counts);
+                                            const std::vector<int>& sm_counts,
+                                            int threads = 0);
 
-  // Full-device profiles for a whole suite (the profile_suite analogue).
+  // Full-device profiles for a whole suite (the profile_suite analogue), in
+  // suite order. The solos run on up to `threads` executors, with the same
+  // width convention as scalability().
   std::vector<AppProfile> suite_profiles(
       const std::vector<sim::KernelParams>& kernels, const sim::GpuConfig& cfg,
-      const ClassifierThresholds& t = {});
+      const ClassifierThresholds& t = {}, int threads = 0);
 
   // --- slowdown models (the second offline artifact) ---
   // The Fig 3.4 interference model measured over `kernels`/`profiles` on

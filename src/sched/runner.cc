@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "sim/gpu.h"
 
 namespace gpumas::sched {
@@ -27,13 +28,30 @@ std::string smra_mode_tag(const SmraParams& smra) {
      << " rmin=" << smra.rmin;
   return os.str();
 }
+
+// Solo IPC at `sms` SMs, linearly interpolated between the curve's points
+// and clamped to its ends.
+double interpolate_ipc(const std::vector<profile::ScalabilityPoint>& pts,
+                       int sms) {
+  GPUMAS_CHECK(!pts.empty());
+  if (sms <= pts.front().sms) return pts.front().ipc;
+  if (sms >= pts.back().sms) return pts.back().ipc;
+  for (size_t i = 1; i < pts.size(); ++i) {
+    if (sms <= pts[i].sms) {
+      const double t = static_cast<double>(sms - pts[i - 1].sms) /
+                       static_cast<double>(pts[i].sms - pts[i - 1].sms);
+      return pts[i - 1].ipc + t * (pts[i].ipc - pts[i - 1].ipc);
+    }
+  }
+  return pts.back().ipc;
+}
 }  // namespace
 
 QueueRunner::QueueRunner(const sim::GpuConfig& cfg,
                          const std::vector<profile::AppProfile>& suite_profiles,
                          const interference::SlowdownModel& model,
-                         profile::ProfileCache* cache)
-    : cfg_(cfg), model_(&model), cache_(cache) {
+                         profile::ProfileCache* cache, int threads)
+    : cfg_(cfg), model_(&model), cache_(cache), threads_(threads) {
   if (cache_ == nullptr) {
     owned_cache_ = std::make_shared<profile::ProfileCache>();
     cache_ = owned_cache_.get();
@@ -65,34 +83,30 @@ uint64_t QueueRunner::solo_cycles(const std::string& name) const {
   return it->solo_cycles;
 }
 
-double QueueRunner::scalability_ipc(const sim::KernelParams& kernel,
-                                    int sms) const {
-  std::vector<int> grid;
-  for (int n : kScalabilityGrid) {
-    if (n <= cfg_.num_sms) grid.push_back(n);
-  }
-  // Memoized in the (thread-safe) ProfileCache, so this const method is
-  // safe to call from concurrently running experiment workers.
-  const std::vector<profile::ScalabilityPoint> pts =
-      cache_->scalability(cfg_, kernel, grid);
-  GPUMAS_CHECK(!pts.empty());
-  if (sms <= pts.front().sms) return pts.front().ipc;
-  if (sms >= pts.back().sms) return pts.back().ipc;
-  for (size_t i = 1; i < pts.size(); ++i) {
-    if (sms <= pts[i].sms) {
-      const double t = static_cast<double>(sms - pts[i - 1].sms) /
-                       static_cast<double>(pts[i].sms - pts[i - 1].sms);
-      return pts[i - 1].ipc + t * (pts[i].ipc - pts[i - 1].ipc);
-    }
-  }
-  return pts.back().ipc;
-}
-
 std::vector<int> QueueRunner::profile_based_partition(
     const std::vector<Job>& group) const {
   const int total = cfg_.num_sms;
   const int k = static_cast<int>(group.size());
   if (k == 1) return {total};
+  if (k > 3) {
+    // Larger groups: fall back to an even split.
+    std::vector<int> even(static_cast<size_t>(k), total / k);
+    for (int i = 0; i < total % k; ++i) even[static_cast<size_t>(i)]++;
+    return even;
+  }
+
+  // Each member's offline curve, fetched once for the whole split search.
+  // Memoized in the (thread-safe) ProfileCache, so this const method is
+  // safe to call from concurrently running experiment workers.
+  std::vector<int> grid;
+  for (int n : kScalabilityGrid) {
+    if (n <= cfg_.num_sms) grid.push_back(n);
+  }
+  std::vector<std::vector<profile::ScalabilityPoint>> curves;
+  curves.reserve(group.size());
+  for (const Job& job : group) {
+    curves.push_back(cache_->scalability(cfg_, job.kernel, grid, threads_));
+  }
 
   // Maximize the sum of profiled solo IPCs over the split grid. This is
   // exactly the offline scheme of [17]: it knows each app's scalability but
@@ -101,8 +115,8 @@ std::vector<int> QueueRunner::profile_based_partition(
     int best_a = total / 2;
     double best_score = -1.0;
     for (int a = kSplitStep; a <= total - kSplitStep; a += kSplitStep) {
-      const double score = scalability_ipc(group[0].kernel, a) +
-                           scalability_ipc(group[1].kernel, total - a);
+      const double score = interpolate_ipc(curves[0], a) +
+                           interpolate_ipc(curves[1], total - a);
       if (score > best_score) {
         best_score = score;
         best_a = a;
@@ -110,27 +124,21 @@ std::vector<int> QueueRunner::profile_based_partition(
     }
     return {best_a, total - best_a};
   }
-  if (k == 3) {
-    std::vector<int> best{total / 3, total / 3, total - 2 * (total / 3)};
-    double best_score = -1.0;
-    for (int a = kSplitStep; a <= total - 2 * kSplitStep; a += kSplitStep) {
-      for (int b = kSplitStep; b <= total - a - kSplitStep; b += kSplitStep) {
-        const int c = total - a - b;
-        const double score = scalability_ipc(group[0].kernel, a) +
-                             scalability_ipc(group[1].kernel, b) +
-                             scalability_ipc(group[2].kernel, c);
-        if (score > best_score) {
-          best_score = score;
-          best = {a, b, c};
-        }
+  std::vector<int> best{total / 3, total / 3, total - 2 * (total / 3)};
+  double best_score = -1.0;
+  for (int a = kSplitStep; a <= total - 2 * kSplitStep; a += kSplitStep) {
+    for (int b = kSplitStep; b <= total - a - kSplitStep; b += kSplitStep) {
+      const int c = total - a - b;
+      const double score = interpolate_ipc(curves[0], a) +
+                           interpolate_ipc(curves[1], b) +
+                           interpolate_ipc(curves[2], c);
+      if (score > best_score) {
+        best_score = score;
+        best = {a, b, c};
       }
     }
-    return best;
   }
-  // Larger groups: fall back to an even split.
-  std::vector<int> even(static_cast<size_t>(k), total / k);
-  for (int i = 0; i < total % k; ++i) even[static_cast<size_t>(i)]++;
-  return even;
+  return best;
 }
 
 namespace {
@@ -248,9 +256,15 @@ RunReport QueueRunner::run(const std::vector<Job>& queue, Policy policy,
   RunReport report;
   report.policy = policy;
   report.sim_threads = cfg_.sim_threads > 1 ? cfg_.sim_threads : 1;
+  // The grouping is decided up front and run_group is const, so the groups
+  // are independent: each writes its own slot, and the totals are summed
+  // afterwards in group order.
   const auto groups = form_groups(queue, policy, nc, *model_);
-  for (const auto& group : groups) {
-    GroupReport g = run_group(group, policy, smra, partition_override);
+  report.groups.resize(groups.size());
+  parallel_for(resolve_width(threads_), groups.size(), [&](size_t i) {
+    report.groups[i] = run_group(groups[i], policy, smra, partition_override);
+  });
+  for (const GroupReport& g : report.groups) {
     report.total_cycles += g.cycles;
     report.total_ticked_cycles += g.ticked_cycles;
     report.total_skipped_cycles += g.skipped_cycles;
@@ -258,7 +272,6 @@ RunReport QueueRunner::run(const std::vector<Job>& queue, Policy policy,
     for (uint64_t insns : g.app_thread_insns) {
       report.total_thread_insns += insns;
     }
-    report.groups.push_back(std::move(g));
   }
   // detlint:ok(wall-clock) wall_ms is diagnostic; never fingerprinted/stored
   report.wall_ms = std::chrono::duration<double, std::milli>(

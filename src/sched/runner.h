@@ -102,10 +102,14 @@ class QueueRunner {
   // null, the runner owns a private cache (convenient for tests and
   // one-off uses, at the cost of not sharing measurements with other
   // runners).
+  // `threads` is the width run() fans a queue's co-run groups (and
+  // ProfileBased's curve points) out over on the shared pool: 1 is a
+  // serial loop, 0 the pool's full width. Reports are byte-identical for
+  // any width.
   QueueRunner(const sim::GpuConfig& cfg,
               const std::vector<profile::AppProfile>& suite_profiles,
               const interference::SlowdownModel& model,
-              profile::ProfileCache* cache = nullptr);
+              profile::ProfileCache* cache = nullptr, int threads = 1);
 
   // `partition_override` pins the SM split of every group whose size
   // matches it (static-allocation sweeps, e.g. capacity planning); a
@@ -125,7 +129,6 @@ class QueueRunner {
                         const SmraParams& smra,
                         const std::vector<int>& partition_override) const;
   uint64_t solo_cycles(const std::string& name) const;
-  double scalability_ipc(const sim::KernelParams& kernel, int sms) const;
 
   sim::GpuConfig cfg_;
   // Name-sorted, binary-searched by solo_cycles() — the per_app_ipc()
@@ -135,6 +138,7 @@ class QueueRunner {
   const interference::SlowdownModel* model_;
   profile::ProfileCache* cache_;
   std::shared_ptr<profile::ProfileCache> owned_cache_;  // when none injected
+  int threads_;
 };
 
 }  // namespace gpumas::sched

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+
+#include "exp/result_io.h"
 
 namespace gpumas::exp {
 namespace {
@@ -344,6 +347,47 @@ TEST(ExperimentTest, WarmStoreReproducesColdReportsByteForByte) {
       << "warm store must serve every group run from disk";
   EXPECT_GT(warm_cache.group_hits(), 0u);
   std::filesystem::remove_all(dir);
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+// The engine's width also bounds the nested cold-path fan-outs (suite solos,
+// ProfileBased's curve points, a queue's groups). A cold engine at width 4
+// must dump the same records and save the same store, byte for byte, as
+// the serial width-1 engine.
+TEST(ExperimentTest, ColdDumpAndStoreAreByteIdenticalAcrossWidths) {
+  auto batch = mixed_batch();
+  ScenarioSpec profile_based = batch[1];
+  profile_based.name = "suite/Profile-based";
+  profile_based.policy = sched::Policy::kProfileBased;
+  batch.push_back(profile_based);
+
+  const auto root = std::filesystem::temp_directory_path() /
+                    "gpumas_exp_width_test";
+  std::filesystem::remove_all(root);
+  std::string dumps[2];
+  const int widths[2] = {1, 4};
+  for (int w = 0; w < 2; ++w) {
+    profile::ProfileCache cache;
+    ExperimentRunner engine(cache, widths[w], tiny_suite());
+    const auto results = engine.run(batch);
+    for (size_t i = 0; i < results.size(); ++i) {
+      dumps[w] += result_io::to_string(results[i], 0, static_cast<int>(i));
+    }
+    cache.save_store((root / std::to_string(widths[w])).string());
+  }
+  EXPECT_EQ(dumps[1], dumps[0]);
+  for (const char* file : {"profiles.txt", "models.txt", "groups.txt"}) {
+    const std::string serial = read_file(root / "1" / file);
+    EXPECT_FALSE(serial.empty()) << file;
+    EXPECT_EQ(read_file(root / "4" / file), serial) << file;
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(ExperimentTest, RepetitionStatistics) {

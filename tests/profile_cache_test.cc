@@ -91,6 +91,65 @@ TEST(ProfileCacheTest, ScalabilitySharesEntriesWithSolo) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
+// The fan-outs of suite_profiles and scalability write pre-sized slots, so
+// width 4 returns exactly what the serial width-1 loop returns, and both
+// measure the same entries.
+TEST(ProfileCacheTest, FanOutsAreWidthInvariant) {
+  const sim::GpuConfig cfg = small_gpu();
+  const std::vector<sim::KernelParams> suite = {
+      kernel("a", 0.1, 1), kernel("b", 0.3, 2), kernel("c", 0.02, 3),
+      kernel("a", 0.1, 1)};  // a repeated kernel shares one entry
+  const std::vector<int> grid = {2, 5, 8, 10};
+  struct Outcome {
+    std::vector<AppProfile> profiles;
+    std::vector<ScalabilityPoint> curve;
+    uint64_t misses = 0;
+    uint64_t hits = 0;
+  };
+  const auto measure = [&](int threads) {
+    ProfileCache cache;
+    Outcome out;
+    out.profiles = cache.suite_profiles(suite, cfg, {}, threads);
+    out.curve = cache.scalability(cfg, suite[1], grid, threads);
+    out.misses = cache.misses();
+    out.hits = cache.hits();
+    return out;
+  };
+  const Outcome serial = measure(1);
+  const Outcome wide = measure(4);
+  ASSERT_EQ(wide.profiles.size(), suite.size());
+  for (size_t i = 0; i < suite.size(); ++i) {
+    expect_same_measurement(wide.profiles[i], serial.profiles[i]);
+    EXPECT_EQ(wide.profiles[i].cls, serial.profiles[i].cls);
+  }
+  ASSERT_EQ(wide.curve.size(), grid.size());
+  for (size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(wide.curve[i].sms, grid[i]);
+    EXPECT_EQ(wide.curve[i].sms, serial.curve[i].sms);
+    EXPECT_DOUBLE_EQ(wide.curve[i].ipc, serial.curve[i].ipc);
+  }
+  EXPECT_EQ(serial.misses, 7u) << "3 distinct solos + 4 curve points";
+  EXPECT_EQ(wide.misses, serial.misses);
+  EXPECT_EQ(wide.hits, serial.hits);
+}
+
+TEST(ProfileCacheTest, ScalabilityRejectsBadGridBeforeSimulating) {
+  const sim::GpuConfig cfg = small_gpu();
+  const auto kp = kernel("a", 0.1, 1);
+  for (const int threads : {1, 4}) {
+    ProfileCache cache;
+    // The bad count sits last, behind valid points that would otherwise
+    // already be simulating.
+    EXPECT_THROW(cache.scalability(cfg, kp, {2, 5, 0}, threads),
+                 std::logic_error);
+    EXPECT_THROW(
+        cache.scalability(cfg, kp, {2, 5, cfg.num_sms + 1}, threads),
+        std::logic_error);
+    EXPECT_EQ(cache.misses(), 0u) << "width " << threads;
+    EXPECT_EQ(cache.size(), 0u) << "width " << threads;
+  }
+}
+
 TEST(ProfileCacheTest, DistinctKernelsConfigsAndSmCountsMiss) {
   const sim::GpuConfig cfg = small_gpu();
   sim::GpuConfig other_cfg = cfg;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/result_io.h"
+
 #include <sstream>
 #include <thread>
 
@@ -232,6 +234,44 @@ TEST(RunnerTest, RepeatedRunsSimulateZeroGroups) {
   runner.run(f.queue, Policy::kSerial, 2);
   EXPECT_EQ(cache.group_misses(), misses_after_first + serial_misses);
   EXPECT_GT(cache.group_hits(), hits_before);
+}
+
+// run() fans a queue's groups (and ProfileBased's curve points) out over
+// the runner's width. Width 1 is the serial reference; width 4 on a fresh
+// cache must render every policy's report byte for byte the same and
+// measure exactly the same artifacts.
+TEST(RunnerTest, ReportsAndStoreCountersAreWidthInvariant) {
+  Fixture f;
+  struct Outcome {
+    std::vector<std::string> renderings;
+    uint64_t misses = 0;
+    uint64_t scalability_misses = 0;
+    uint64_t group_misses = 0;
+    uint64_t group_hits = 0;
+  };
+  const auto run_all = [&f](int threads) {
+    profile::ProfileCache cache;
+    const QueueRunner runner(f.cfg, f.profiles, f.model, &cache, threads);
+    Outcome out;
+    for (Policy p : {Policy::kSerial, Policy::kEven, Policy::kProfileBased,
+                     Policy::kIlp, Policy::kIlpSmra}) {
+      out.renderings.push_back(
+          exp::result_io::to_string(runner.run(f.queue, p, 2)));
+    }
+    out.misses = cache.misses();
+    out.scalability_misses = cache.scalability_misses();
+    out.group_misses = cache.group_misses();
+    out.group_hits = cache.group_hits();
+    return out;
+  };
+  const Outcome serial = run_all(1);
+  const Outcome wide = run_all(4);
+  EXPECT_EQ(wide.renderings, serial.renderings);
+  EXPECT_GT(serial.scalability_misses, 0u) << "ProfileBased fetched curves";
+  EXPECT_EQ(wide.misses, serial.misses);
+  EXPECT_EQ(wide.scalability_misses, serial.scalability_misses);
+  EXPECT_EQ(wide.group_misses, serial.group_misses);
+  EXPECT_EQ(wide.group_hits, serial.group_hits);
 }
 
 TEST(RunnerTest, ThreeAppGroupsRun) {
