@@ -217,6 +217,12 @@ void config_from_string(const std::string& text, GpuConfig& cfg) {
                      "unknown config key '" << key << "' (line " << line_no
                                             << ")");
     it->second.set(cfg, value);
+    GPUMAS_CHECK_MSG(key != "max_warps_per_sm" ||
+                         (cfg.max_warps_per_sm >= 1 &&
+                          cfg.max_warps_per_sm <= kMaxWarpsPerSm),
+                     "config line " << line_no << ": max_warps_per_sm must "
+                                    << "be in [1, " << kMaxWarpsPerSm
+                                    << "]; got " << value);
   }
 }
 

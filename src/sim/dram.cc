@@ -155,11 +155,18 @@ const std::vector<DramCompletion>& DramChannel::drain_completions(
   }
   inflight_.resize(keep);
   // inflight_ is kept in issue order, so a stable sort on ready_cycle
-  // yields ascending (ready_cycle, issue order).
-  std::stable_sort(ready_buffer_.begin(), ready_buffer_.end(),
-                   [](const DramCompletion& a, const DramCompletion& b) {
-                     return a.ready_cycle < b.ready_cycle;
-                   });
+  // yields ascending (ready_cycle, issue order). A drain holds a handful
+  // of nearly ordered entries: an in-place insertion sort (strict `>`
+  // keeps equal keys in issue order) avoids std::stable_sort's temporary
+  // buffer on every call.
+  for (size_t i = 1; i < ready_buffer_.size(); ++i) {
+    const DramCompletion c = ready_buffer_[i];
+    size_t j = i;
+    for (; j > 0 && ready_buffer_[j - 1].ready_cycle > c.ready_cycle; --j) {
+      ready_buffer_[j] = ready_buffer_[j - 1];
+    }
+    ready_buffer_[j] = c;
+  }
   return ready_buffer_;
 }
 

@@ -217,6 +217,12 @@ bool Gpu::accept_from_vq(L2Slice& slice, int src) {
     q.pop_front();
     if (q.empty()) slice.vq_mask.clear(static_cast<size_t>(src));
     slice.rr = (src + 1) % cfg_.num_sms;
+    // The freed slot may unblock src's LSU head, which sleeps after a
+    // backpressure refusal (see StreamingMultiprocessor::post_tick_wake).
+    uint64_t& wake = sm_wake_[static_cast<size_t>(src)];
+    if (sms_[static_cast<size_t>(src)].lsu_stalled() && cycle_ + 1 < wake) {
+      wake = cycle_ + 1;
+    }
   }
   return processed;
 }
@@ -670,6 +676,13 @@ void Gpu::sample_tick() {
     retime_inflight(jump);
     skipped_cycles_ += jump;
     cycle_ += jump;
+    // A core whose LSU head was refused sleeps until the memory system
+    // frees it, but the credits may have turned its LSU-blocked warps'
+    // next instructions into ALU ones that could issue now: tick it on
+    // the first cycle after the jump, as the reference loop would.
+    for (size_t i = 0; i < sms_.size(); ++i) {
+      if (sms_[i].lsu_stalled()) sm_wake_[i] = std::min(sm_wake_[i], cycle_);
+    }
   }
   open_sample_window();
 }

@@ -21,6 +21,11 @@ enum class MemSchedPolicy { kFrFcfs, kFcfs };
 // CI-gated accuracy loss for wall-clock speed.
 enum class SimMode { kDetailed, kSampled };
 
+// Upper bound of GpuConfig::max_warps_per_sm: each core's warp scheduler
+// keeps one bit per warp slot in 64-bit masks. 64 is also the most warps
+// per SM of any NVIDIA GPU so far.
+constexpr int kMaxWarpsPerSm = 64;
+
 // Geometry of one set-associative cache.
 struct CacheConfig {
   uint32_t size_bytes = 0;
@@ -36,7 +41,7 @@ struct GpuConfig {
   int num_sms = 60;
   double core_freq_ghz = 0.7;
   int warp_size = 32;
-  int max_warps_per_sm = 48;
+  int max_warps_per_sm = 48;  // in [1, kMaxWarpsPerSm]
   int max_blocks_per_sm = 8;
   WarpSchedPolicy warp_sched = WarpSchedPolicy::kGto;
   MemSchedPolicy mem_sched = MemSchedPolicy::kFrFcfs;

@@ -8,11 +8,28 @@
 
 namespace gpumas::sim {
 
+namespace {
+// Validated before any per-slot state is sized from it.
+int checked_warps_per_sm(int warps) {
+  GPUMAS_CHECK_MSG(warps >= 1 && warps <= kMaxWarpsPerSm,
+                   "max_warps_per_sm must be in [1, "
+                       << kMaxWarpsPerSm << "] (one bit per warp slot); got "
+                       << warps);
+  return warps;
+}
+
+// Calls fn(slot) for every set bit of `mask`, lowest slot first.
+template <typename Fn>
+void for_each_slot(uint64_t mask, Fn fn) {
+  for (; mask != 0; mask &= mask - 1) fn(__builtin_ctzll(mask));
+}
+}  // namespace
+
 StreamingMultiprocessor::StreamingMultiprocessor(const GpuConfig& cfg,
                                                  int sm_id)
     : id_(sm_id),
       warp_size_(cfg.warp_size),
-      max_warps_(cfg.max_warps_per_sm),
+      max_warps_(checked_warps_per_sm(cfg.max_warps_per_sm)),
       max_blocks_(cfg.max_blocks_per_sm),
       num_schedulers_(cfg.schedulers_per_sm),
       alu_initiation_interval_(cfg.alu_initiation_interval),
@@ -21,14 +38,19 @@ StreamingMultiprocessor::StreamingMultiprocessor(const GpuConfig& cfg,
       l1_hit_latency_(cfg.l1_hit_latency),
       l1_mshr_entries_(cfg.l1d.mshr_entries),
       policy_(cfg.warp_sched),
-      warps_(static_cast<size_t>(cfg.max_warps_per_sm)),
+      warps_(static_cast<size_t>(max_warps_)),
       blocks_(static_cast<size_t>(cfg.max_blocks_per_sm)),
       pipe_busy_until_(static_cast<size_t>(cfg.alu_pipes), 0),
-      last_issued_(static_cast<size_t>(cfg.schedulers_per_sm), -1),
+      scheds_(static_cast<size_t>(cfg.schedulers_per_sm)),
       l1_(cfg.l1d),
       l1_mshr_(cfg.l1d.mshr_entries),
       fast_path_enabled_(cfg.skip_idle_cycles) {
   GPUMAS_CHECK(num_schedulers_ >= 1);
+  for (int s = 0; s < num_schedulers_; ++s) {
+    for (int slot = s; slot < max_warps_; slot += num_schedulers_) {
+      scheds_[static_cast<size_t>(s)].owned |= 1ull << slot;
+    }
+  }
 }
 
 bool StreamingMultiprocessor::can_accept_block(int warps_per_block) const {
@@ -68,8 +90,8 @@ void StreamingMultiprocessor::dispatch_block(uint8_t app,
     ctx.block_slot = static_cast<uint8_t>(slot);
     ctx.valid = true;
     ctx.next_is_mem = insn_is_mem(*kp, ctx.gwarp, 0);
-    active_slots_.insert(
-        std::lower_bound(active_slots_.begin(), active_slots_.end(), w), w);
+    resident_mask_ |= 1ull << w;
+    refresh_ready(w);
     ++placed;
     ++resident_warps_;
   }
@@ -85,25 +107,25 @@ void StreamingMultiprocessor::schedule_fill(uint64_t line,
 
 int StreamingMultiprocessor::advanceable_warp_count(uint8_t app) const {
   int n = 0;
-  for (const int slot : active_slots_) {
+  for_each_slot(resident_mask_, [&](int slot) {
     const WarpCtx& w = warps_[static_cast<size_t>(slot)];
     if (w.app == app && w.insns_done + 1 < w.kp->insns_per_warp) ++n;
-  }
+  });
   return n;
 }
 
 void StreamingMultiprocessor::begin_progress_window() {
-  for (const int slot : active_slots_) {
+  for_each_slot(resident_mask_, [&](int slot) {
     WarpCtx& w = warps_[static_cast<size_t>(slot)];
     w.window_base_insns = w.insns_done;
-  }
+  });
 }
 
 void StreamingMultiprocessor::persistence_terms(uint8_t app,
                                                 double sums[6]) const {
-  for (const int slot : active_slots_) {
+  for_each_slot(resident_mask_, [&](int slot) {
     const WarpCtx& w = warps_[static_cast<size_t>(slot)];
-    if (w.app != app || w.insns_done + 1 >= w.kp->insns_per_warp) continue;
+    if (w.app != app || w.insns_done + 1 >= w.kp->insns_per_warp) return;
     // Analytic credits land between windows, so analytic_insns is
     // unchanged since the snapshot: base - analytic is the cumulative
     // detailed progress at window start.
@@ -116,19 +138,19 @@ void StreamingMultiprocessor::persistence_terms(uint8_t app,
     sums[3] += x * x;
     sums[4] += y * y;
     sums[5] += x * y;
-  }
+  });
 }
 
 double StreamingMultiprocessor::predicted_weight(uint8_t app, double b,
                                                  double x_bar,
                                                  double y_bar) const {
   double weight = 0.0;
-  for (const int slot : active_slots_) {
+  for_each_slot(resident_mask_, [&](int slot) {
     const WarpCtx& w = warps_[static_cast<size_t>(slot)];
-    if (w.app != app || w.insns_done + 1 >= w.kp->insns_per_warp) continue;
+    if (w.app != app || w.insns_done + 1 >= w.kp->insns_per_warp) return;
     const double x = static_cast<double>(w.insns_done - w.analytic_insns);
     weight += std::max(y_bar + b * (x - x_bar), 0.01 * y_bar);
-  }
+  });
   return weight;
 }
 
@@ -152,17 +174,18 @@ uint64_t StreamingMultiprocessor::advance_warps_analytically(
         insn_is_mem(*w.kp, w.gwarp, static_cast<uint32_t>(w.insns_done));
     stats[w.app].warp_insns += take;
     stats[w.app].mem_insns += static_cast<uint64_t>(mem);
+    refresh_ready(slot);
   };
 
   // Advanceable slots are collected first so the dispersion jitter can
   // be applied in exact zero-sum pairs (the odd warp out gets none).
   std::vector<int> adv;
   adv.reserve(static_cast<size_t>(resident_warps_));
-  for (const int slot : active_slots_) {
+  for_each_slot(resident_mask_, [&](int slot) {
     const WarpCtx& w = warps_[static_cast<size_t>(slot)];
-    if (w.app != app || w.insns_done + 1 >= w.kp->insns_per_warp) continue;
+    if (w.app != app || w.insns_done + 1 >= w.kp->insns_per_warp) return;
     adv.push_back(slot);
-  }
+  });
   uint64_t credited = 0;
   for (size_t i = 0; i < adv.size(); ++i) {
     const WarpCtx& w = warps_[static_cast<size_t>(adv[i])];
@@ -239,6 +262,7 @@ void StreamingMultiprocessor::complete_transaction(
   if (w.waiting_mem && w.outstanding <= resume) w.waiting_mem = false;
   warp_wake_dirty_ = true;
   maybe_retire(slot, stats);
+  refresh_ready(slot);
 }
 
 void StreamingMultiprocessor::maybe_retire(int slot,
@@ -257,9 +281,19 @@ void StreamingMultiprocessor::maybe_retire(int slot,
     completed_blocks_.push_back(w.app);
   }
   w.valid = false;
-  active_slots_.erase(
-      std::lower_bound(active_slots_.begin(), active_slots_.end(), slot));
+  resident_mask_ &= ~(1ull << slot);
+  refresh_ready(slot);
   --resident_warps_;
+}
+
+void StreamingMultiprocessor::refresh_ready(int slot) {
+  const uint64_t bit = 1ull << slot;
+  const WarpCtx& w = warps_[static_cast<size_t>(slot)];
+  alu_ready_ &= ~bit;
+  mem_ready_ &= ~bit;
+  if (w.valid && !w.waiting_mem && w.insns_done < w.kp->insns_per_warp) {
+    (w.next_is_mem ? mem_ready_ : alu_ready_) |= bit;
+  }
 }
 
 int StreamingMultiprocessor::free_alu_pipe(uint64_t cycle) const {
@@ -319,6 +353,7 @@ void StreamingMultiprocessor::issue(int slot, uint64_t cycle,
   } else {
     maybe_retire(slot, stats);
   }
+  refresh_ready(slot);
 }
 
 bool StreamingMultiprocessor::scheduler_issue(int sched, uint64_t cycle,
@@ -327,56 +362,46 @@ bool StreamingMultiprocessor::scheduler_issue(int sched, uint64_t cycle,
   // instruction issues below, so pipe state cannot change between the warp
   // eligibility checks this result feeds.
   const bool alu_pipe_free = free_alu_pipe(cycle) >= 0;
-  // Greedy: keep issuing from the warp that issued last (GTO only).
-  int& last = last_issued_[static_cast<size_t>(sched)];
-  if (policy_ == WarpSchedPolicy::kGto && last >= 0) {
-    WarpCtx& w = warps_[static_cast<size_t>(last)];
-    if (can_issue(w, cycle, alu_pipe_free)) {
+  // Candidates: the warps this scheduler owns (slots congruent to its index
+  // modulo num_schedulers_) whose next instruction's unit has room — a
+  // free ALU pipe, or an LSU that is not full. can_issue still decides
+  // (not_before, the whole burst fitting the LSU), but a warp outside this
+  // set can never pass it, so an empty set means nothing issues.
+  WarpScheduler& ws = scheds_[static_cast<size_t>(sched)];
+  const uint64_t cand =
+      ws.owned &
+      ((alu_pipe_free ? alu_ready_ : 0) |
+       (lsu_.size() < static_cast<size_t>(lsu_capacity_) ? mem_ready_ : 0));
+  if (cand == 0) return false;
+  const auto issuable = [&](int slot) {
+    return can_issue(warps_[static_cast<size_t>(slot)], cycle, alu_pipe_free);
+  };
+  int& last = ws.last_issued;
+  int best = -1;
+  if (policy_ == WarpSchedPolicy::kGto) {
+    // Greedy: keep issuing from the warp that issued last; otherwise fall
+    // back to the oldest issuable candidate.
+    if (last >= 0 && ((cand >> last) & 1) != 0 && issuable(last)) {
       issue(last, cycle, stats);
       return true;
     }
-  }
-  // Fall back to the oldest ready warp this scheduler owns (GTO), or the
-  // next ready warp after the last issued one (LRR). A scheduler owns the
-  // warp slots congruent to its index modulo num_schedulers_; only resident
-  // warps (active_slots_, sorted by slot) are scanned.
-  int best = -1;
-  if (policy_ == WarpSchedPolicy::kGto) {
     uint64_t best_age = ~0ull;
-    for (const int slot : active_slots_) {
-      if (slot % num_schedulers_ != sched) continue;
-      const WarpCtx& w = warps_[static_cast<size_t>(slot)];
-      if (can_issue(w, cycle, alu_pipe_free) && w.age < best_age) {
-        best_age = w.age;
+    for_each_slot(cand, [&](int slot) {
+      const uint64_t age = warps_[static_cast<size_t>(slot)].age;
+      if (age < best_age && issuable(slot)) {
+        best_age = age;
         best = slot;
       }
-    }
+    });
   } else {
     // LRR visits this scheduler's slots in circular slot order starting
-    // just after the last issued one: first the active slots >= start,
-    // then the wrapped-around ones below it.
-    const int owned = (max_warps_ - sched + num_schedulers_ - 1) /
-                      num_schedulers_;
-    int first = last >= 0 ? (last - sched) / num_schedulers_ + 1 : 0;
-    if (first >= owned) first = 0;
-    const int start = sched + first * num_schedulers_;
-    for (const int slot : active_slots_) {
-      if (slot < start || slot % num_schedulers_ != sched) continue;
-      if (can_issue(warps_[static_cast<size_t>(slot)], cycle,
-                    alu_pipe_free)) {
-        best = slot;
-        break;
-      }
-    }
-    if (best < 0) {
-      for (const int slot : active_slots_) {
-        if (slot >= start) break;  // sorted: wrapped segment exhausted
-        if (slot % num_schedulers_ != sched) continue;
-        if (can_issue(warps_[static_cast<size_t>(slot)], cycle,
-                      alu_pipe_free)) {
-          best = slot;
-          break;
-        }
+    // just after the last issued one: first the candidates above it, then
+    // the wrapped-around ones up to and including it.
+    const uint64_t after_last = last >= 0 ? ~1ull << last : ~0ull;
+    for (const uint64_t part : {cand & after_last, cand & ~after_last}) {
+      for (uint64_t m = part; m != 0 && best < 0; m &= m - 1) {
+        const int slot = __builtin_ctzll(m);
+        if (issuable(slot)) best = slot;
       }
     }
   }
@@ -443,21 +468,20 @@ bool StreamingMultiprocessor::lsu_tick(uint64_t cycle, MemoryFabric& fabric,
 uint64_t StreamingMultiprocessor::compute_warp_wake(uint64_t cycle) const {
   uint64_t wake = ~0ull;
   bool blocked_now = false;  // a runnable warp is gated on resources
-  for (const int slot : active_slots_) {
-    const WarpCtx& w = warps_[static_cast<size_t>(slot)];
-    if (w.waiting_mem || w.insns_done >= w.kp->insns_per_warp) {
-      continue;
-    }
-    if (w.not_before <= cycle) {
+  for_each_slot(alu_ready_ | mem_ready_, [&](int slot) {
+    const uint64_t not_before = warps_[static_cast<size_t>(slot)].not_before;
+    if (not_before <= cycle) {
       blocked_now = true;
-    } else if (w.not_before < wake) {
-      wake = w.not_before;
+    } else if (not_before < wake) {
+      wake = not_before;
     }
-  }
+  });
   if (blocked_now) {
     // The warp failed can_issue on a resource: a busy ALU pipe (wake when
-    // the earliest pipe frees) or a full LSU (lsu_ is then non-empty, which
-    // already forces the full tick path every cycle).
+    // the earliest pipe frees) or a full LSU (lsu_ is then non-empty and
+    // space frees only when its head is accepted: the core stays awake
+    // while the LSU drains, and the memory system wakes it when a refused
+    // head can proceed — see post_tick_wake).
     bool pipe_pending = false;
     for (const uint64_t p : pipe_busy_until_) {
       if (p > cycle) {
@@ -497,10 +521,10 @@ void StreamingMultiprocessor::retime(uint64_t now, uint64_t delta) {
     }
     for (const Event& e : pending) events_.push(e);
   }
-  for (const int slot : active_slots_) {
+  for_each_slot(resident_mask_, [&](int slot) {
     WarpCtx& w = warps_[static_cast<size_t>(slot)];
     if (w.not_before > now) w.not_before += delta;
-  }
+  });
   for (uint64_t& p : pipe_busy_until_) {
     if (p > now) p += delta;
   }
@@ -526,13 +550,15 @@ SmTickResult StreamingMultiprocessor::tick(uint64_t cycle,
   }
   if (events_due) result.progress |= drain_events(cycle, stats);
   bool issued = false;
-  if (resident_warps_ > 0) {
+  if ((alu_ready_ | mem_ready_) != 0) {
     for (int s = 0; s < num_schedulers_; ++s) {
       issued |= scheduler_issue(s, cycle, stats);
     }
   }
   result.progress |= issued;
-  result.progress |= lsu_tick(cycle, fabric, stats);
+  const bool lsu_moved = lsu_tick(cycle, fabric, stats);
+  lsu_refused_ = !lsu_moved;
+  result.progress |= lsu_moved;
   result.block_retired = !completed_blocks_.empty();
   // An issuing core is presumed active next cycle; otherwise refresh the
   // cached wake — but only when some warp state actually changed (or the

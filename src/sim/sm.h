@@ -155,13 +155,16 @@ class StreamingMultiprocessor {
   uint64_t next_wake_cycle(uint64_t cycle) const;
 
   // Next cycle at which this core must be ticked, valid immediately after
-  // tick(cycle): now+1 while the LSU is retrying, else the earliest event
-  // or runnable-warp cycle (UINT64_MAX when fully drained). Unlike
-  // next_wake_cycle this includes externally-gated retries — it schedules
-  // the core's own ticks, not the device-wide fast-forward. The device
-  // min-updates its copy when it delivers a fill.
+  // tick(cycle): now+1 while the LSU is draining (its head was accepted and
+  // more transactions wait), else the earliest event or runnable-warp cycle
+  // (UINT64_MAX when fully drained). A refused LSU head (L1 MSHRs full, or
+  // interconnect backpressure) does not keep the core awake: only a fill
+  // or hit-done event, or the L2 popping this core's virtual queue, can
+  // change the verdict, and the device min-updates its copy of the wake on
+  // both (deliver_fill, accept_from_vq). Unlike next_wake_cycle this
+  // schedules the core's own ticks, not the device-wide fast-forward.
   uint64_t post_tick_wake(uint64_t cycle) const {
-    if (!lsu_.empty()) return cycle + 1;
+    if (!lsu_.empty() && !lsu_refused_) return cycle + 1;
     uint64_t wake = warp_wake_cache_ == 0 ? cycle + 1 : warp_wake_cache_;
     if (!events_.empty() && events_.top().cycle < wake) {
       wake = events_.top().cycle;
@@ -176,6 +179,9 @@ class StreamingMultiprocessor {
 
   int resident_blocks() const { return resident_blocks_; }
   int resident_warps() const { return resident_warps_; }
+  // The LSU head was refused on the last tick, and the core sleeps until
+  // the memory system frees it (see post_tick_wake).
+  bool lsu_stalled() const { return !lsu_.empty() && lsu_refused_; }
   bool quiescent() const {
     return resident_blocks_ == 0 && lsu_.empty() && events_.empty();
   }
@@ -200,6 +206,11 @@ class StreamingMultiprocessor {
     bool valid = false;
     bool waiting_mem = false;
     bool next_is_mem = false;
+  };
+
+  struct WarpScheduler {
+    uint64_t owned = 0;    // warp slots congruent to its index
+    int last_issued = -1;  // -1 if none
   };
 
   struct BlockSlot {
@@ -243,6 +254,7 @@ class StreamingMultiprocessor {
                 std::vector<AppStats>& stats);
   void complete_transaction(int slot, std::vector<AppStats>& stats);
   void maybe_retire(int slot, std::vector<AppStats>& stats);
+  void refresh_ready(int slot);
   int free_alu_pipe(uint64_t cycle) const;
   uint64_t compute_warp_wake(uint64_t cycle) const;
 
@@ -263,7 +275,7 @@ class StreamingMultiprocessor {
   std::vector<WarpCtx> warps_;
   std::vector<BlockSlot> blocks_;
   std::vector<uint64_t> pipe_busy_until_;
-  std::vector<int> last_issued_;  // per scheduler, -1 if none
+  std::vector<WarpScheduler> scheds_;
   std::deque<MemTx> lsu_;
   Cache l1_;
   MshrTable<MshrEntry> l1_mshr_;
@@ -271,9 +283,19 @@ class StreamingMultiprocessor {
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
   std::vector<uint64_t> addr_scratch_;
   std::vector<uint8_t> completed_blocks_;
-  // Sorted slot indices of valid warps: the scheduler scans resident warps
-  // (typically a handful) instead of all max_warps_ contexts per cycle.
-  std::vector<int> active_slots_;
+  // Valid warps, one bit per slot; visiting its bits lowest first walks
+  // the resident warps in ascending slot order.
+  uint64_t resident_mask_ = 0;
+  // Issue candidates, one bit per slot: a warp is in exactly one of the two
+  // (by next_is_mem) while it is valid, not waiting_mem and not finished.
+  // not_before and the pipe/LSU resources are left to can_issue, so the
+  // masks are a superset filter. refresh_ready keeps them current at every
+  // mutation of those fields.
+  uint64_t alu_ready_ = 0;
+  uint64_t mem_ready_ = 0;
+  // The last lsu_tick was refused (L1 MSHRs full or interconnect
+  // backpressure); meaningful only while lsu_ is non-empty.
+  bool lsu_refused_ = false;
   uint64_t age_counter_ = 0;
   // Earliest cycle at which some warp could issue (min not_before over
   // runnable warps, plus pipe-free times when a warp is ready but all pipes

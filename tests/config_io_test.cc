@@ -111,6 +111,18 @@ TEST(ConfigIoTest, MalformedValueThrows) {
                std::logic_error);
 }
 
+// The warp scheduler's slot masks bound warps per SM to [1, 64]; a config
+// file outside that range is a parse error, not a crash at device build.
+TEST(ConfigIoTest, WarpsPerSmOutsideMaskRangeThrows) {
+  GpuConfig cfg;
+  EXPECT_THROW(config_from_string("max_warps_per_sm = 65\n", cfg),
+               std::logic_error);
+  EXPECT_THROW(config_from_string("max_warps_per_sm = 0\n", cfg),
+               std::logic_error);
+  config_from_string("max_warps_per_sm = 64\n", cfg);
+  EXPECT_EQ(cfg.max_warps_per_sm, 64);
+}
+
 TEST(ConfigIoTest, FileRoundTrip) {
   GpuConfig original;
   original.num_sms = 30;

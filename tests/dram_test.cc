@@ -148,6 +148,37 @@ TEST(DramTest, DrainOrderIsReadyCycleThenIssueOrder) {
   EXPECT_LE(done[0].ready_cycle, done[1].ready_cycle);
 }
 
+// One batch holding completions that finished out of issue order, two of
+// them with the same ready cycle: the drain sorts by ready cycle and keeps
+// equal ready cycles in issue order.
+TEST(DramTest, DrainSortsOutOfOrderBatchStablyOnEqualReadyCycles) {
+  GpuConfig cfg = cfg_with(MemSchedPolicy::kFrFcfs);
+  cfg.banks_per_channel = 4;
+  DramChannel ch(cfg, 0);
+  // Open row 7 on bank 0.
+  ASSERT_TRUE(ch.enqueue(req(1, 0, 7, 0)));
+  ch.tick(0);
+  ASSERT_EQ(ch.drain_completions(12).size(), 1u);
+  const auto issue = [&](uint64_t line, uint32_t bank, uint64_t row,
+                         uint64_t cycle) {
+    ASSERT_TRUE(ch.enqueue(req(line, bank, row, cycle)));
+    ASSERT_TRUE(ch.tick(cycle));
+  };
+  issue(20, 1, 9, 20);  // row miss: ready 20 + 10 + 2 = 32
+  issue(21, 0, 7, 22);  // row hit:  ready 22 + 4 + 2 = 28
+  issue(22, 2, 5, 24);  // row miss: ready 24 + 10 + 2 = 36
+  issue(23, 0, 7, 26);  // row hit:  ready 26 + 4 + 2 = 32, ties line 20
+  const auto& done = ch.drain_completions(36);
+  ASSERT_EQ(done.size(), 4u);
+  const uint64_t lines[] = {21, 20, 23, 22};
+  const uint64_t ready[] = {28, 32, 32, 36};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(done[i].line, lines[i]) << "position " << i;
+    EXPECT_EQ(done[i].ready_cycle, ready[i]) << "position " << i;
+  }
+  EXPECT_TRUE(ch.idle());
+}
+
 // Property: the completion sequence is independent of the drain cadence —
 // collecting every cycle and collecting in coarse batches yield the same
 // order. (The former swap-pop removal made batch order depend on removal

@@ -266,6 +266,32 @@ TEST(FastPathTest, SampledModeHonorsSkipBarrier) {
   EXPECT_GT(gpu.skipped_cycles(), 0u);
 }
 
+// Sampled mode composes with the fast path: the idle-span skips inside
+// each detailed window, and the per-core tick schedule across a jump,
+// must leave the sampled trajectory exactly as the reference loop runs it.
+// Covers suite pairs and a triple on the default device with uneven splits.
+TEST(FastPathTest, SampledSuiteCoRunsAreByteIdentical) {
+  struct Case {
+    std::vector<const char*> apps;
+    std::vector<int> split;
+  };
+  const Case cases[] = {{{"HS", "GUPS"}, {40, 20}},
+                        {{"BLK", "LUD"}, {30, 30}},
+                        {{"3DS", "LUD", "BP"}, {30, 20, 10}}};
+  GpuConfig cfg;
+  cfg.sim_mode = SimMode::kSampled;
+  for (const Case& c : cases) {
+    std::vector<KernelParams> kernels;
+    std::string label = "sampled";
+    for (const char* name : c.apps) {
+      kernels.push_back(workloads::benchmark(name));
+      label += std::string(" ") + name;
+    }
+    expect_identical(run(cfg, kernels, true, c.split),
+                     run(cfg, kernels, false, c.split), label);
+  }
+}
+
 // Analytic crediting may move instructions between windows, but never
 // invents or loses them: every warp still executes (or is credited)
 // exactly its program, completion is never synthesized, and the

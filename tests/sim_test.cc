@@ -233,6 +233,43 @@ TEST(SimTest, RejectsEmptyKernels) {
   EXPECT_THROW(gpu.launch(kp), std::logic_error);
 }
 
+// The warp scheduler keeps one bit per warp slot in 64-bit masks, so a core
+// without warp contexts or with more than 64 is rejected when the device is
+// built, naming the offending knob.
+TEST(SimTest, RejectsWarpsPerSmOutsideOneToSixtyFour) {
+  for (const int warps : {0, -1, 65, 128}) {
+    GpuConfig cfg = small_gpu();
+    cfg.max_warps_per_sm = warps;
+    try {
+      Gpu gpu(cfg);
+      ADD_FAILURE() << "accepted max_warps_per_sm = " << warps;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("max_warps_per_sm"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The bound itself is usable: 64 warp contexts per core, every slot
+// (including bit 63) occupied, under both warp schedulers.
+TEST(SimTest, SixtyFourWarpsPerSmFillEverySlot) {
+  for (const WarpSchedPolicy policy :
+       {WarpSchedPolicy::kGto, WarpSchedPolicy::kLrr}) {
+    GpuConfig cfg = small_gpu();
+    cfg.max_warps_per_sm = 64;
+    cfg.warp_sched = policy;
+    KernelParams kp = tiny_kernel();
+    kp.num_blocks = 64;
+    kp.warps_per_block = 8;  // 8 blocks x 8 warps fill all 64 slots
+    Gpu gpu(cfg);
+    gpu.launch(kp);
+    const RunResult r = gpu.run_to_completion();
+    EXPECT_TRUE(r.apps[0].done);
+    EXPECT_EQ(r.apps[0].warp_insns, kp.total_warp_insns());
+  }
+}
+
 // Parameterized conservation sweep across divergence and mem ratios.
 class SimConservationTest
     : public ::testing::TestWithParam<std::tuple<int, double>> {};
