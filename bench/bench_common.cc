@@ -50,7 +50,7 @@ Options parse_options(int argc, char** argv) {
   const auto usage = [&argv](const std::string& why) {
     std::cerr << argv[0] << ": " << why << "\n"
               << "usage: " << argv[0]
-              << " [--threads N] [--sim-threads N] [--config FILE]"
+              << " [--threads N] [--config FILE]"
                  " [--profile-cache DIR]"
                  " [--policy serial|even|profile|ilp|ilp-smra]"
                  " [--shard I/N] [--dump-results FILE] [--dump-append]"
@@ -69,13 +69,6 @@ Options parse_options(int argc, char** argv) {
       const auto n = parse_int(v);
       if (!n || *n < 1) usage("--threads wants an integer >= 1, got " + v);
       opts.threads = *n;
-    } else if (arg == "--sim-threads") {
-      const std::string v = value();
-      const auto n = parse_int(v);
-      if (!n || *n < 1) {
-        usage("--sim-threads wants an integer >= 1, got " + v);
-      }
-      opts.sim_threads = *n;
     } else if (arg == "--config") {
       opts.config_path = value();
     } else if (arg == "--profile-cache") {
@@ -146,11 +139,6 @@ Harness::Harness(int argc, char** argv)
       cfg_ = sim::load_config(opts_.config_path);
     }
     if (opts_.no_skip) cfg_.skip_idle_cycles = false;
-    // --sim-threads pins the intra-run SM-phase parallelism of every
-    // scenario this harness runs; unset (0) leaves the engine's two-level
-    // budget to resolve it per batch. Either way results are identical —
-    // the flag only moves wall-clock time around.
-    if (opts_.sim_threads > 0) cfg_.sim_threads = opts_.sim_threads;
     if (opts_.sim_mode == "sampled") {
       cfg_.sim_mode = sim::SimMode::kSampled;
     } else if (opts_.sim_mode == "detailed") {
@@ -417,16 +405,15 @@ void Harness::dump_results(const std::vector<exp::ScenarioResult>& results,
 
 std::string Harness::journal_header() const {
   // Everything that byte-determines a record of this invocation: the
-  // result schema, the device configuration, the thread budgets the
-  // two-level split resolves sim_threads from, the shard slice, and the
-  // flag-driven scenario parameters. config_fingerprint() deliberately
-  // ignores sim_threads, so the flags carry it here.
+  // result schema, the device configuration, the shard slice, and the
+  // flag-driven scenario parameters. --threads is absent on purpose:
+  // records are identical at every width, so a run may resume wider or
+  // narrower than it started.
   std::ostringstream os;
   os << "# gpumas journal v=" << exp::result_io::kFormatVersion
      << " config=" << profile::config_fingerprint(cfg_)
-     << " threads=" << opts_.threads
-     << " sim_threads=" << opts_.sim_threads << " shard=" << opts_.shard.index
-     << "/" << opts_.shard.count << " reps=" << opts_.reps
+     << " shard=" << opts_.shard.index << "/" << opts_.shard.count
+     << " reps=" << opts_.reps
      << " policy=" << (opts_.policy.empty() ? "-" : opts_.policy)
      << " sim_mode=" << (opts_.sim_mode.empty() ? "-" : opts_.sim_mode)
      << "\n";

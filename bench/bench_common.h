@@ -10,13 +10,8 @@
 // so the 10+ bench translation units stop recompiling the harness each.
 //
 // Flags understood by every bench:
-//   --threads N           scenario worker threads (default 1)
-//   --sim-threads N       intra-run SM-phase threads per simulation
-//                         (GpuConfig::sim_threads). Results are
-//                         byte-identical for every value; unset leaves the
-//                         engine's two-level budget to decide (surplus
-//                         --threads flow into runs when the scenario pool
-//                         is not saturated)
+//   --threads N           worker threads for the scenarios and the
+//                         simulations nested in them (default 1)
 //   --config FILE         device description in sim::config_io format
 //   --profile-cache DIR   artifact store: load profiles, slowdown models
 //                         and group-run records before running, save them
@@ -122,7 +117,6 @@ void print_setup(const sim::GpuConfig& cfg);
 
 struct Options {
   int threads = 1;
-  int sim_threads = 0;  // 0 = leave the engine's two-level budget to decide
   std::string config_path;
   std::string profile_cache_path;
   std::string policy;

@@ -28,8 +28,8 @@
 // clock anywhere, so injected faults can never perturb simulation results.
 //
 // An unconfigured injector costs one relaxed atomic load per guarded
-// operation (the per-site armed flag), so the per-tick SM-phase dispatch
-// path pays nothing measurable.
+// operation (the per-site armed flag), so the worker pool's dispatch path
+// pays nothing measurable.
 #pragma once
 
 #include <atomic>

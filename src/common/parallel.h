@@ -1,15 +1,15 @@
 // Persistent fail-fast worker pool, shared by the experiment engine's
-// scenario batches and the cold-path fan-outs nested inside them (suite
-// solos, scalability points, a queue's co-run groups), the interference
-// matrix measurement and the simulator's intra-run SM phase (sim::Gpu with
-// GpuConfig::sim_threads > 1).
+// scenario batches, the cold-path fan-outs nested inside them (suite solos,
+// scalability points, a queue's co-run groups) and the interference matrix
+// measurement. Every job item is a whole simulation, so a helper that
+// finds no work simply sleeps until the next job is posted.
 //
 // One process-wide pool (WorkerPool::shared()) owns its threads for the
-// whole process lifetime, so fine-grained callers — the per-tick SM phase
-// posts a job every simulated cycle — never pay a thread spawn, and total
-// OS-thread concurrency is structurally bounded by the pool size no matter
-// how many logical parallel regions are active at once: a caller that asks
-// for more helpers than are free simply runs more of the work itself.
+// whole process lifetime, so total OS-thread concurrency is structurally
+// bounded by the pool size no matter how many logical parallel regions are
+// active at once: a caller that asks for more helpers than are free simply
+// runs more of the work itself, which also makes nested fan-outs (an
+// engine batch whose scenarios fan out their own simulations) safe.
 #pragma once
 
 #include <atomic>
@@ -39,7 +39,7 @@ class WorkerPool {
   ~WorkerPool() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stop_.store(true, std::memory_order_relaxed);
+      stop_ = true;
     }
     work_cv_.notify_all();
     for (auto& th : workers_) th.join();
@@ -86,7 +86,6 @@ class WorkerPool {
         std::lock_guard<std::mutex> lock(mu_);
         job.budget = helpers;
         open_.push_back(&job);
-        open_count_.fetch_add(1, std::memory_order_relaxed);
       }
       work_cv_.notify_all();
       execute(job);
@@ -98,7 +97,6 @@ class WorkerPool {
         for (size_t i = 0; i < open_.size(); ++i) {
           if (open_[i] == &job) {
             open_.erase(open_.begin() + static_cast<ptrdiff_t>(i));
-            open_count_.fetch_sub(1, std::memory_order_relaxed);
             break;
           }
         }
@@ -147,28 +145,13 @@ class WorkerPool {
 
   void worker_loop() {
     for (;;) {
-      // Brief spin before sleeping: the intra-run SM phase posts a job per
-      // simulated cycle, and a sleep/wake round trip per tick would eat
-      // the parallelism it buys. A worker that just drained a job usually
-      // sees the next one arrive within the spin.
-      for (int spin = 0; spin < 4096; ++spin) {
-        if (open_count_.load(std::memory_order_relaxed) > 0 ||
-            stop_.load(std::memory_order_relaxed)) {
-          break;
-        }
-      }
       Job* job = nullptr;
       {
         std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [&] {
-          return stop_.load(std::memory_order_relaxed) || !open_.empty();
-        });
-        if (stop_.load(std::memory_order_relaxed)) return;
+        work_cv_.wait(lock, [&] { return stop_ || !open_.empty(); });
+        if (stop_) return;
         job = open_.back();
-        if (--job->budget == 0) {
-          open_.pop_back();
-          open_count_.fetch_sub(1, std::memory_order_relaxed);
-        }
+        if (--job->budget == 0) open_.pop_back();
         ++job->active;
       }
       execute(*job);
@@ -183,8 +166,7 @@ class WorkerPool {
   std::condition_variable work_cv_;  // helpers wait here for open jobs
   std::condition_variable done_cv_;  // posters wait here for helpers to leave
   std::vector<Job*> open_;           // jobs with helper budget left (LIFO)
-  std::atomic<int> open_count_{0};   // lock-free mirror for the idle spin
-  std::atomic<bool> stop_{false};
+  bool stop_ = false;                // under mu_
   std::vector<std::thread> workers_;
 };
 

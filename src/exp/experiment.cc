@@ -158,16 +158,7 @@ std::vector<sched::Job> ExperimentRunner::build_queue(
   GPUMAS_CHECK_MSG(false, "unhandled queue kind");
 }
 
-ScenarioResult ExperimentRunner::run_scenario(const ScenarioSpec& raw,
-                                              int intra_threads) {
-  // Fill the auto sim_threads slot with this batch's intra-run budget.
-  // Only the local copy is stamped; the resolved value cannot leak into
-  // shared state keyed by config identity because config fingerprints
-  // ignore sim_threads entirely.
-  ScenarioSpec spec = raw;
-  if (spec.config.sim_threads == 0) {
-    spec.config.sim_threads = intra_threads;
-  }
+ScenarioResult ExperimentRunner::run_scenario(const ScenarioSpec& spec) {
   const std::shared_ptr<Env> env = env_for(spec);
   const bool needs_model = spec.policy == sched::Policy::kIlp ||
                            spec.policy == sched::Policy::kIlpSmra;
@@ -249,17 +240,6 @@ std::vector<ScenarioResult> ExperimentRunner::run(
       mine.push_back(i);
     }
   }
-  // Two-level split of the thread budget. `active` is how many scenario
-  // workers can actually be busy at once, bounded by the full declared
-  // batch (NOT the shard slice: a 1-of-4 shard of a 64-scenario batch must
-  // resolve the same sim_threads as the unsharded batch, or merged record
-  // unions would disagree byte-wise). Whatever the scenario level cannot
-  // use flows down to the intra-run SM phase: a saturated pool leaves each
-  // run serial inside, while run_one() hands the whole budget to one run.
-  const size_t declared = scenarios.size();
-  const int active = std::min(
-      threads_, static_cast<int>(std::max<size_t>(declared, 1)));
-  const int intra = std::max(1, threads_ / std::max(active, 1));
   // Fail fast (parallel_for): once any worker records an error, the rest
   // stop claiming new scenarios instead of simulating the remainder of the
   // batch, and the first error rethrows here.
@@ -267,7 +247,7 @@ std::vector<ScenarioResult> ExperimentRunner::run(
   parallel_for(threads_, mine.size(), [&](size_t k) {
     const size_t i = mine[k];
     if (hooks.skip && hooks.skip(i)) return;
-    results[i] = run_scenario(scenarios[i], intra);
+    results[i] = run_scenario(scenarios[i]);
     if (hooks.on_result) {
       std::lock_guard<std::mutex> lock(hook_mu);
       hooks.on_result(i, results[i]);

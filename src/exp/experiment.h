@@ -26,17 +26,6 @@
 // deterministic i-of-n slice (scenario j belongs to shard j % n), leaving
 // the other entries empty, so independent processes or machines can split
 // one batch and merge the unions trivially.
-//
-// Two-level thread budget: the engine's `threads` budget is split between
-// scenario-level workers and the intra-run parallel SM phase
-// (GpuConfig::sim_threads). A large batch saturates the scenario pool, so
-// each run stays serial inside (sim_threads = 1); a batch with fewer
-// scenarios than threads — the latency-bound single-scenario path in
-// particular — hands the surplus to the SM phase. The split is computed
-// from the full declared batch size, never from the shard slice, so a
-// sharded run resolves the same sim_threads as the whole batch would and
-// serialized records stay merge-identical. Specs that set sim_threads
-// explicitly are never overridden.
 #pragma once
 
 #include <functional>
@@ -67,10 +56,9 @@ struct Shard {
 struct RunHooks {
   // When set and skip(i) is true, scenario i is not executed: its entry
   // keeps the scenario name and no reps, exactly like an off-shard entry.
-  // Callers substitute previously-recorded reports afterwards. Skipping
-  // never changes the batch's two-level thread budget — that is computed
-  // from the declared batch, so a resumed run resolves the same
-  // sim_threads as the uninterrupted one and records stay byte-identical.
+  // Callers substitute previously-recorded reports afterwards; records
+  // do not depend on which scenarios ran, so a resumed batch stays
+  // byte-identical to an uninterrupted one.
   std::function<bool(size_t)> skip;
   // Invoked once per executed scenario as it completes — in completion
   // order, NOT declaration order, from whichever worker finished it, but
@@ -136,10 +124,7 @@ class ExperimentRunner {
   std::shared_ptr<const sched::QueueRunner> runner_stage(Env& env,
                                                          bool with_model);
 
-  // `intra_threads` is the per-run sim_threads budget resolved by run()'s
-  // two-level split; it fills ScenarioSpec configs that left sim_threads at
-  // 0 (auto) and never overrides an explicit setting.
-  ScenarioResult run_scenario(const ScenarioSpec& spec, int intra_threads);
+  ScenarioResult run_scenario(const ScenarioSpec& spec);
   std::vector<sched::Job> build_queue(
       const ScenarioSpec& spec, int rep,
       const std::vector<profile::AppProfile>& suite_profiles) const;

@@ -86,19 +86,15 @@ std::vector<std::string> split_csv(const std::string& v) {
   return split_commas(v);
 }
 
-sched::RunReport report_from_tokens(TokenMap& t, int version) {
+sched::RunReport report_from_tokens(TokenMap& t) {
   sched::RunReport report;
   report.policy = sched::policy_from_name(t.take("policy"));
   report.total_cycles = parse_u64(t.take("cycles"), "cycles");
   report.total_thread_insns = parse_u64(t.take("insns"), "insns");
-  if (version >= 3) {
-    // v3 intra-run parallelism budget; older records predate it and load
-    // the serial default (TokenMap strictness rejects it in v1/v2 lines).
-    report.sim_threads = parse_nonneg_int(t.take("sim_threads"),
-                                          "sim_threads");
-    GPUMAS_CHECK_MSG(report.sim_threads >= 1,
-                     "result record: sim_threads must be >= 1");
-  }
+  // Fixed v3 field with no meaning (see result_io.h): validated, not kept.
+  const int sim_threads =
+      parse_nonneg_int(t.take("sim_threads"), "sim_threads");
+  GPUMAS_CHECK_MSG(sim_threads >= 1, "result record: sim_threads must be >= 1");
   const int groups = parse_nonneg_int(t.take("groups"), "groups");
   for (int g = 0; g < groups; ++g) {
     const std::string p = "g" + std::to_string(g) + ".";
@@ -136,16 +132,12 @@ sched::RunReport report_from_tokens(TokenMap& t, int version) {
     grp.cycles = parse_u64(t.take(p + "cycles"), "group cycles");
     grp.serial_cycles =
         parse_u64(t.take(p + "serial_cycles"), "serial_cycles");
-    if (version >= 2) {
-      // v2 simulator-efficiency counters; a v1 record predates them and
-      // loads zeros (TokenMap strictness rejects them in a v1 line).
-      grp.ticked_cycles = parse_u64(t.take(p + "ticked_cycles"),
-                                    "ticked_cycles");
-      grp.skipped_cycles = parse_u64(t.take(p + "skipped_cycles"),
-                                     "skipped_cycles");
-      grp.sample_windows = parse_u64(t.take(p + "sample_windows"),
-                                     "sample_windows");
-    }
+    grp.ticked_cycles = parse_u64(t.take(p + "ticked_cycles"),
+                                  "ticked_cycles");
+    grp.skipped_cycles = parse_u64(t.take(p + "skipped_cycles"),
+                                   "skipped_cycles");
+    grp.sample_windows = parse_u64(t.take(p + "sample_windows"),
+                                   "sample_windows");
     grp.smra_adjustments =
         parse_u64(t.take(p + "smra_adjustments"), "smra_adjustments");
     grp.smra_reverts = parse_u64(t.take(p + "smra_reverts"), "smra_reverts");
@@ -175,11 +167,10 @@ std::string unescape(const std::string& s) { return percent_unescape(s); }
 std::string to_string(const sched::RunReport& report) {
   std::ostringstream os;
   os << std::setprecision(17);
-  // wall_ms is intentionally absent: see the version notes in result_io.h.
   os << "policy=" << sched::policy_name(report.policy)
      << " cycles=" << report.total_cycles
      << " insns=" << report.total_thread_insns
-     << " sim_threads=" << (report.sim_threads >= 1 ? report.sim_threads : 1)
+     << " sim_threads=1"  // fixed v3 field, see result_io.h
      << " groups=" << report.groups.size();
   for (size_t g = 0; g < report.groups.size(); ++g) {
     const auto& grp = report.groups[g];
@@ -211,7 +202,7 @@ std::string to_string(const sched::RunReport& report) {
 
 sched::RunReport report_from_string(const std::string& fragment) {
   TokenMap t(fragment);
-  sched::RunReport report = report_from_tokens(t, kFormatVersion);
+  sched::RunReport report = report_from_tokens(t);
   t.expect_empty();
   return report;
 }
@@ -242,17 +233,15 @@ Record parse_record(const std::string& line) {
                    "result record: missing version token (expected v="
                        << kFormatVersion << ")");
   const int version = parse_nonneg_int(vtok.substr(2), "v");
-  GPUMAS_CHECK_MSG(version >= kMinFormatVersion && version <= kFormatVersion,
+  GPUMAS_CHECK_MSG(version == kFormatVersion,
                    "result record: unsupported format version v="
                        << version << " (this reader understands v="
-                       << kMinFormatVersion << "..v=" << kFormatVersion
-                       << ")");
+                       << kFormatVersion << ")");
   std::string rest;
   std::getline(in, rest);
   TokenMap t(rest);
 
   Record rec;
-  rec.version = version;
   rec.batch = parse_nonneg_int(t.take("batch"), "batch");
   rec.index = parse_nonneg_int(t.take("idx"), "idx");
   rec.rep = parse_nonneg_int(t.take("rep"), "rep");
@@ -262,7 +251,7 @@ Record parse_record(const std::string& line) {
                                          << " out of range for reps "
                                          << rec.reps);
   rec.name = unescape(t.take("name"));
-  rec.report = report_from_tokens(t, version);
+  rec.report = report_from_tokens(t);
   t.expect_empty();
   return rec;
 }
@@ -276,12 +265,6 @@ std::vector<MergedBatch> merge_dumps(
     std::vector<std::optional<sched::RunReport>> rep_reports;
   };
   std::map<std::pair<int, int>, Slot> slots;  // key: (batch, idx)
-
-  // Version uniformity across every record of every dump: a v2 shard next
-  // to a v3 shard means the shards ran different binaries, and the older
-  // records would silently read as zero for the newer fields.
-  int seen_version = -1;
-  std::string seen_version_at;
 
   for (size_t f = 0; f < dumps.size(); ++f) {
     const std::string& label = dumps[f].first;
@@ -298,21 +281,6 @@ std::vector<MergedBatch> merge_dumps(
       } catch (const std::logic_error& e) {
         throw std::logic_error(label + ":" + std::to_string(line_no) + ": " +
                                e.what());
-      }
-
-      if (seen_version < 0) {
-        seen_version = rec.version;
-        seen_version_at = label + ":" + std::to_string(line_no);
-      } else {
-        GPUMAS_CHECK_MSG(
-            rec.version == seen_version,
-            "record version mismatch: " << label << ":" << line_no
-                                        << " is v=" << rec.version << " but "
-                                        << seen_version_at << " is v="
-                                        << seen_version
-                                        << " — the dumps were written by "
-                                           "different binaries; re-run the "
-                                           "shards on one version");
       }
 
       const auto key = std::make_pair(rec.batch, rec.index);

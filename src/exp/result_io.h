@@ -48,18 +48,15 @@ class IncompleteDumps : public std::logic_error {
 };
 
 // Stamped into every record line as `v=N`; bump when the schema changes.
-// A reader rejects any other version rather than guessing at fields.
-// v1 records (pre simulator-efficiency counters) still parse: their
-// per-group ticked/skipped/sample_windows fields load as zero. v2 adds
-// `gK.ticked_cycles`, `gK.skipped_cycles` and `gK.sample_windows` —
-// required in a v2 record, rejected in a v1 record. v3 adds the run-level
-// `sim_threads` (the intra-run SM-phase budget the repetition executed
-// under; v1/v2 records load 1). Wall-clock time (RunReport::wall_ms) is
-// deliberately NOT serialized: records of identical runs must be
-// byte-identical across processes and machines so sorted shard-dump
-// unions stay `cmp`-equal, and real time never is.
+// A reader rejects any other version rather than guessing at fields, so
+// the v1/v2 layouts (without the per-group simulator-efficiency counters)
+// no longer load. The run-level `sim_threads=1` token is a fixed v3 field
+// kept so existing dumps stay byte-identical: the writer always emits 1,
+// and the reader accepts any value >= 1 (older v3 dumps may say 4) and
+// stores nothing, since it never affected a result. Nothing wall-clock
+// is serialized: records of identical runs must be byte-identical across
+// processes and machines so sorted shard-dump unions stay `cmp`-equal.
 inline constexpr int kFormatVersion = 3;
-inline constexpr int kMinFormatVersion = 1;
 
 // Percent-escaping for names embedded in record values: '%', '=', ',',
 // whitespace and control bytes become %XX so a value never contains a
@@ -79,7 +76,6 @@ std::string to_string(const ScenarioResult& result, int batch, int index);
 
 // One parsed record line.
 struct Record {
-  int version = kFormatVersion;  // the record's v= format version
   int batch = 0;
   int index = 0;
   int rep = 0;
@@ -100,10 +96,7 @@ struct MergedBatch {
 // the file name) appears in diagnostics. Validates that the dumps are
 // disjoint (no scenario in two dumps), free of double-run duplicates (no
 // repeated (batch, idx, rep), the signature of appending a re-run onto an
-// old dump), mutually consistent (one name/rep-count per scenario),
-// version-uniform (every record of every dump carries the same v= — a
-// mixed v2/v3 merge means the shards ran different binaries, so fields
-// like sample_windows would be silently zero for some scenarios) and
+// old dump), mutually consistent (one name/rep-count per scenario) and
 // complete (contiguous indices, all repetitions), then returns the batches
 // in order. Blank lines and '#' comments are ignored; anything else that
 // fails to parse, and any validation failure, throws std::logic_error.

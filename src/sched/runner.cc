@@ -1,7 +1,6 @@
 #include "sched/runner.h"
 
 #include <algorithm>
-#include <chrono>  // detlint:ok(wall-clock) wall_ms diagnostics only; never serialized
 #include <iomanip>
 #include <sstream>
 
@@ -251,11 +250,8 @@ GroupReport QueueRunner::run_group(
 RunReport QueueRunner::run(const std::vector<Job>& queue, Policy policy,
                            int nc, const SmraParams& smra,
                            const std::vector<int>& partition_override) const {
-  // detlint:ok(wall-clock) wall_ms is diagnostic; never fingerprinted/stored
-  const auto t0 = std::chrono::steady_clock::now();
   RunReport report;
   report.policy = policy;
-  report.sim_threads = cfg_.sim_threads > 1 ? cfg_.sim_threads : 1;
   // The grouping is decided up front and run_group is const, so the groups
   // are independent: each writes its own slot, and the totals are summed
   // afterwards in group order.
@@ -273,10 +269,6 @@ RunReport QueueRunner::run(const std::vector<Job>& queue, Policy policy,
       report.total_thread_insns += insns;
     }
   }
-  // detlint:ok(wall-clock) wall_ms is diagnostic; never fingerprinted/stored
-  report.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)  // detlint:ok(wall-clock) continuation of the wall_ms diagnostic above
-                       .count();
   return report;
 }
 

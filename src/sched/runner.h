@@ -54,14 +54,6 @@ struct RunReport {
   uint64_t total_ticked_cycles = 0;
   uint64_t total_skipped_cycles = 0;
   uint64_t total_sample_windows = 0;
-  // Intra-run parallelism accounting. sim_threads is the effective SM-phase
-  // budget the run executed under (>= 1; cannot change any other field) and
-  // is serialized with the record (result v=3). wall_ms is this process's
-  // wall-clock time for the run — real time, so NEVER serialized: result
-  // records of identical runs must stay byte-identical across processes and
-  // machines (the shard-merge CI gate `cmp`s sorted record unions).
-  int sim_threads = 1;
-  double wall_ms = 0.0;
 
   // Device throughput over the whole queue, Eq 1.1.
   double device_throughput() const {

@@ -202,16 +202,6 @@ void config_from_string(const std::string& text, GpuConfig& cfg) {
           value == "detailed" ? SimMode::kDetailed : SimMode::kSampled;
       continue;
     }
-    if (key == "sim_threads") {
-      // Accepted on input so config files can pin intra-run parallelism,
-      // but deliberately NOT in fields() and hence never rendered by
-      // config_to_string(): sim_threads cannot change results (the
-      // parallel SM phase is byte-identical to serial by construction),
-      // so it must not rotate config fingerprints or any store key a
-      // fingerprint feeds (profiles, models, groups.txt).
-      cfg.sim_threads = parse_number<int>(value);
-      continue;
-    }
     const auto it = fields().find(key);
     GPUMAS_CHECK_MSG(it != fields().end(),
                      "unknown config key '" << key << "' (line " << line_no

@@ -11,12 +11,10 @@
 
 namespace gpumas::sim {
 
-// Renders the full configuration as key = value lines. Deliberately
-// excludes GpuConfig::sim_threads: intra-run parallelism cannot change
-// simulation results, and this rendering is what profile::config_fingerprint
-// hashes, so including it would needlessly rotate every store key.
-// config_from_string still accepts a `sim_threads` line, so a save/load
-// round trip drops the field (back to 0 = auto) by design.
+// Renders the full configuration as key = value lines: every GpuConfig
+// field, so a save/load round trip is lossless. This rendering is what
+// profile::config_fingerprint hashes, so every field is part of every
+// store key.
 std::string config_to_string(const GpuConfig& cfg);
 
 // Canonical key = value rendering of every KernelParams field that shapes

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "common/parallel.h"
 
 namespace gpumas::sim {
 
@@ -17,14 +16,6 @@ constexpr uint64_t kAppRegionLines = 1ull << 33;
 
 // Capacity of the post-MSHR miss queue in front of each DRAM channel.
 constexpr size_t kMissQueueCapacity = 96;
-
-// Minimum wake-due SMs before the parallel SM phase enlists the worker
-// pool; below it, the calling thread runs the stripes itself (idle and
-// drain phases would otherwise pay job fan-out for a handful of cores).
-// Execution schedule never affects results — per-stripe scratch makes the
-// outcome a pure function of the stripe count — so this is purely a
-// performance knob.
-constexpr size_t kParMinDueSms = 8;
 }  // namespace
 
 Gpu::Gpu(const GpuConfig& cfg)
@@ -44,11 +35,6 @@ Gpu::Gpu(const GpuConfig& cfg)
   for (int i = 0; i < cfg_.num_sms; ++i) sms_.emplace_back(cfg_, i);
   slices_.reserve(static_cast<size_t>(cfg_.num_channels));
   for (int i = 0; i < cfg_.num_channels; ++i) slices_.emplace_back(cfg_, i);
-  // sim_threads <= 1 (including 0 = auto, for directly constructed Gpus
-  // that no engine resolved) selects the serial reference loop; more
-  // stripes than SMs would leave stripes empty.
-  par_threads_ = std::min(cfg_.sim_threads, cfg_.num_sms);
-  if (par_threads_ < 1) par_threads_ = 1;
 }
 
 int Gpu::launch(const KernelParams& kernel) {
@@ -141,29 +127,6 @@ bool Gpu::try_send(const MemRequest& req, uint64_t cycle) {
   if (q.empty()) slice.vq_mask.set(req.sm);
   q.push_back(
       IcntPacket{cycle + static_cast<uint64_t>(cfg_.icnt_latency), req});
-  return true;
-}
-
-// try_send of the parallel SM phase (const: it mutates only the caller's
-// staging buffer). The backpressure probe replays the serial loop's check
-// exactly: committed depth of the sender's own per-slice queue, plus
-// whatever the sender already staged for that slice this cycle (the serial
-// loop would have pushed those before re-checking). No other SM's traffic
-// can enter that queue, so the verdict is identical to serial execution
-// regardless of what the other stripes are doing.
-bool Gpu::stage_send(const MemRequest& req, uint64_t cycle,
-                     std::vector<StagedPacket>& out) const {
-  const int slice_idx = slice_of(req.line);
-  size_t queued = slices_[static_cast<size_t>(slice_idx)].vq[req.sm].size();
-  for (const StagedPacket& p : out) {
-    if (p.slice == slice_idx) ++queued;
-  }
-  if (queued >= static_cast<size_t>(cfg_.icnt_vq_size)) {
-    return false;  // backpressure to this SM's LSU only
-  }
-  out.push_back(StagedPacket{
-      slice_idx,
-      IcntPacket{cycle + static_cast<uint64_t>(cfg_.icnt_latency), req}});
   return true;
 }
 
@@ -379,19 +342,15 @@ void Gpu::tick() {
   const bool sched = cfg_.skip_idle_cycles;
   const size_t n = sms_.size();
   const size_t start = static_cast<size_t>(cycle_ % n);
-  if (par_threads_ > 1) {
-    tick_sms_parallel(start, &progress);
-  } else {
-    const auto run_sm = [&](size_t i) {
-      if (sched && sm_wake_[i] > cycle_) return;
-      const SmTickResult r = sms_[i].tick(cycle_, *this, stats_);
-      progress |= r.progress;
-      if (r.block_retired) retired_sms_.push_back(static_cast<uint16_t>(i));
-      sm_wake_[i] = sms_[i].post_tick_wake(cycle_);
-    };
-    for (size_t i = start; i < n; ++i) run_sm(i);
-    for (size_t i = 0; i < start; ++i) run_sm(i);
-  }
+  const auto run_sm = [&](size_t i) {
+    if (sched && sm_wake_[i] > cycle_) return;
+    const SmTickResult r = sms_[i].tick(cycle_, *this, stats_);
+    progress |= r.progress;
+    if (r.block_retired) retired_sms_.push_back(static_cast<uint16_t>(i));
+    sm_wake_[i] = sms_[i].post_tick_wake(cycle_);
+  };
+  for (size_t i = start; i < n; ++i) run_sm(i);
+  for (size_t i = 0; i < start; ++i) run_sm(i);
   for (auto& slice : slices_) progress |= tick_l2_slice(slice);
   // Completion scan only when some SM actually retired a block this cycle.
   if (!retired_sms_.empty()) check_app_completion();
@@ -399,89 +358,6 @@ void Gpu::tick() {
   ++ticked_cycles_;
   if (!progress && cfg_.skip_idle_cycles) fast_forward();
   if (sampling_) sample_tick();
-}
-
-// The parallel SM phase (cfg_.sim_threads > 1): byte-identical to the
-// serial loop by construction.
-//
-//   1. Parallel phase — stripe s ticks SMs s, s+T, s+2T, ... Each SM
-//      writes its memory request of the cycle (at most one: the LSU sends
-//      only its head transaction) into its own staging buffer through a
-//      StagingFabric, its stats into stripe-local scratch, and its
-//      wake/retire outcome into per-SM slots. The only reads of shared
-//      state are stage_send's backpressure probe — a function of the SM's
-//      own committed queues only — and per-app kernel parameters, which
-//      are immutable during the phase. Nothing another stripe writes is
-//      ever read, so any interleaving produces the same per-SM outcome as
-//      the serial loop.
-//   2. Serial commit — staging buffers drain into the virtual queues in
-//      the serial loop's rotated visit order (start = cycle % n),
-//      rebuilding retired_sms_ and the queues byte-for-byte. Per-source
-//      queues make cross-SM push order immaterial anyway — each SM only
-//      appends to its own queues — but the rotated order keeps the
-//      equivalence a plain replay of the serial loop. Stripe stats then
-//      merge as commutative counter sums (accumulate_counters).
-//
-// The memory phase (tick_l2_slice and everything after) runs serially and
-// unchanged in Gpu::tick, so skipping, skip barriers, SMRA windows and
-// sampled-mode jumps compose with this phase untouched.
-void Gpu::tick_sms_parallel(size_t start, bool* progress) {
-  const size_t n = sms_.size();
-  const size_t T = static_cast<size_t>(par_threads_);
-  if (staged_.size() != n) {
-    staged_.resize(n);
-    sm_retired_.assign(n, 0);
-    stripe_stats_.resize(T);
-    stripe_progress_.assign(T, 0);
-  }
-  const bool sched = cfg_.skip_idle_cycles;
-  size_t due = n;
-  if (sched) {
-    due = 0;
-    for (size_t i = 0; i < n && due < kParMinDueSms; ++i) {
-      if (sm_wake_[i] <= cycle_) ++due;
-    }
-  }
-  const auto stripe_fn = [&](size_t s) {
-    std::vector<AppStats>& stats = stripe_stats_[s];
-    stats.assign(apps_.size(), AppStats{});
-    uint8_t prog = 0;
-    for (size_t i = s; i < n; i += T) {
-      if (sched && sm_wake_[i] > cycle_) continue;
-      StagingFabric fabric(*this, staged_[i]);
-      const SmTickResult r = sms_[i].tick(cycle_, fabric, stats);
-      prog |= static_cast<uint8_t>(r.progress);
-      sm_retired_[i] = static_cast<uint8_t>(r.block_retired);
-      sm_wake_[i] = sms_[i].post_tick_wake(cycle_);
-    }
-    stripe_progress_[s] = prog;
-  };
-  if (due >= kParMinDueSms) {
-    WorkerPool::shared().run(par_threads_, T, stripe_fn);
-  } else {
-    for (size_t s = 0; s < T; ++s) stripe_fn(s);
-  }
-  const auto commit = [&](size_t i) {
-    if (sm_retired_[i]) {
-      retired_sms_.push_back(static_cast<uint16_t>(i));
-      sm_retired_[i] = 0;
-    }
-    for (const StagedPacket& p : staged_[i]) {
-      L2Slice& slice = slices_[static_cast<size_t>(p.slice)];
-      std::deque<IcntPacket>& q = slice.vq[i];
-      if (q.empty()) slice.vq_mask.set(i);
-      q.push_back(p.pkt);
-    }
-    staged_[i].clear();
-  };
-  for (size_t i = start; i < n; ++i) commit(i);
-  for (size_t i = 0; i < start; ++i) commit(i);
-  for (size_t s = 0; s < T; ++s) {
-    *progress |= stripe_progress_[s] != 0;
-    for (size_t a = 0; a < apps_.size(); ++a) {
-      accumulate_counters(stats_[a], stripe_stats_[s][a]);
-    }
-  }
 }
 
 void Gpu::open_sample_window() {

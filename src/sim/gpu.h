@@ -161,39 +161,10 @@ class Gpu final : public MemoryFabric {
           dram(cfg, index) {}
   };
 
-  // One SM's memory traffic of the current cycle, staged during the
-  // parallel SM phase and committed serially afterwards.
-  struct StagedPacket {
-    int slice = 0;
-    IcntPacket pkt;
-  };
-  // MemoryFabric view handed to an SM ticking in the parallel phase: the
-  // SM's memory request of the cycle (at most one — the LSU only sends its
-  // head transaction) is staged into the SM's own buffer instead of the
-  // live virtual queues. Backpressure is decided against the committed
-  // queue state, which is exactly what the serial loop's try_send sees:
-  // an SM's sends land only in its own per-slice queues, so earlier SMs
-  // in the serial visit order can never affect a later SM's backpressure.
-  class StagingFabric final : public MemoryFabric {
-   public:
-    StagingFabric(const Gpu& gpu, std::vector<StagedPacket>& out)
-        : gpu_(gpu), out_(out) {}
-    bool try_send(const MemRequest& req, uint64_t cycle) override {
-      return gpu_.stage_send(req, cycle, out_);
-    }
-
-   private:
-    const Gpu& gpu_;
-    std::vector<StagedPacket>& out_;
-  };
-
   int slice_of(uint64_t line) const {
     return static_cast<int>(line % static_cast<uint64_t>(cfg_.num_channels));
   }
   void decompose(uint64_t line, uint32_t& bank, uint64_t& row) const;
-  bool stage_send(const MemRequest& req, uint64_t cycle,
-                  std::vector<StagedPacket>& out) const;
-  void tick_sms_parallel(size_t start, bool* progress);
   bool tick_l2_slice(L2Slice& slice);
   bool accept_from_vq(L2Slice& slice, int src);
   uint64_t slice_next_wake(const L2Slice& slice, uint64_t cycle) const;
@@ -227,17 +198,6 @@ class Gpu final : public MemoryFabric {
   std::vector<uint16_t> retired_sms_; // scratch: SMs that retired a block
   WorkDistributor distributor_;
   bool started_ = false;
-
-  // --- intra-run parallel SM phase (cfg_.sim_threads > 1) ---
-  // Stripe count of the parallel phase: stripe s ticks SMs s, s+T, s+2T...
-  // into stripe-local scratch, so results are a pure function of the
-  // configured sim_threads, never of how many pool workers actually ran
-  // the stripes (see tick_sms_parallel). 1 = the serial reference loop.
-  int par_threads_ = 1;
-  std::vector<std::vector<StagedPacket>> staged_;  // per-SM staged traffic
-  std::vector<uint8_t> sm_retired_;                // per-SM retire flags
-  std::vector<std::vector<AppStats>> stripe_stats_;
-  std::vector<uint8_t> stripe_progress_;
 
   // --- sampled-mode controller state (see sample_tick) ---
   bool sampling_ = false;             // cfg_.sim_mode == kSampled

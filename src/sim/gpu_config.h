@@ -102,19 +102,6 @@ struct GpuConfig {
   uint64_t sample_detail_cycles = 10'000;
   uint64_t sample_skip_cycles = 90'000;
 
-  // Intra-run parallelism: the per-cycle SM phase of Gpu::tick() runs on
-  // up to sim_threads workers of the shared pool, with each SM's memory
-  // traffic staged per SM and committed serially in the serial loop's
-  // exact arbitration order — results are byte-identical for any value
-  // (CI-gated by micro_par_benchmark and tests/par_test.cc). <= 1 is the
-  // serial reference loop; 0 means "auto": resolved by the experiment
-  // engine from its two-level thread budget (1 when the scenario pool is
-  // saturated, the full budget for single-scenario/latency paths), and
-  // treated as serial by a directly constructed Gpu. Because it cannot
-  // change results, it is excluded from config_to_string() and hence from
-  // every config fingerprint and store key (see sim/config_io.cc).
-  int sim_threads = 0;
-
   // --- Safety ---
   uint64_t max_cycles = 80'000'000;  // runaway-simulation guard
 

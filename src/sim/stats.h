@@ -49,25 +49,6 @@ void for_each_app_stat(const AppStats& a, const AppStats& b, Fn fn) {
   fn("done", static_cast<uint64_t>(a.done), static_cast<uint64_t>(b.done));
 }
 
-// Adds the event counters of `from` into `into`. finish_cycle and done are
-// terminal facts owned by Gpu::check_app_completion, not counters, and are
-// never touched. The parallel SM phase (GpuConfig::sim_threads > 1) merges
-// its per-stripe scratch stats through this: every SM-side stats write is a
-// commutative increment, so any partition of the SMs sums to the serial
-// loop's totals exactly.
-inline void accumulate_counters(AppStats& into, const AppStats& from) {
-  into.warp_insns += from.warp_insns;
-  into.mem_insns += from.mem_insns;
-  into.l1_accesses += from.l1_accesses;
-  into.l1_hits += from.l1_hits;
-  into.l1_fills += from.l1_fills;
-  into.l2_accesses += from.l2_accesses;
-  into.l2_hits += from.l2_hits;
-  into.dram_transactions += from.dram_transactions;
-  into.blocks_completed += from.blocks_completed;
-  into.warps_completed += from.warps_completed;
-}
-
 // Bandwidth in GB/s given bytes moved over a cycle interval at `freq_ghz`.
 inline double bandwidth_gbps(uint64_t bytes, uint64_t cycles, double freq_ghz) {
   if (cycles == 0) return 0.0;

@@ -100,6 +100,9 @@ TEST(ConfigIoTest, UnknownKeyThrows) {
   GpuConfig cfg;
   EXPECT_THROW(config_from_string("frobnicate = 3\n", cfg),
                std::logic_error);
+  // A retired key is just as unknown as one that never existed.
+  EXPECT_THROW(config_from_string("sim_threads = 2\n", cfg),
+               std::logic_error);
 }
 
 TEST(ConfigIoTest, MalformedValueThrows) {

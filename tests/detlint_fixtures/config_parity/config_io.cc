@@ -11,7 +11,6 @@ namespace fixture {
 struct Config {
   int num_sms = 16;
   int ghost_knob = 0;
-  int sim_threads = 1;
   std::string warp_sched = "gto";
 };
 
@@ -27,10 +26,6 @@ bool parse_line(const std::string& key, const std::string& value,
   }
   if (key == "ghost_knob") {  // VIOLATION: parsed, never rendered
     cfg->ghost_knob = std::stoi(value);
-    return true;
-  }
-  if (key == "sim_threads") {  // ok: on the declared exclusion list
-    cfg->sim_threads = std::stoi(value);
     return true;
   }
   return false;

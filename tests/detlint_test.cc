@@ -203,8 +203,7 @@ TEST(DetlintTest, ConfigParityCatchesPlantedKeyDrift) {
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("[config-parity]"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("'ghost_knob'"), std::string::npos) << r.output;
-  // sim_threads is on the declared exclusion list, num_sms/warp_sched are
-  // rendered: exactly the planted key fires.
+  // num_sms/warp_sched are rendered: exactly the planted key fires.
   EXPECT_NE(r.output.find("1 finding"), std::string::npos) << r.output;
 }
 

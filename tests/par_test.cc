@@ -1,211 +1,16 @@
-// Golden suite for deterministic intra-run parallelism: the parallel SM
-// phase (GpuConfig::sim_threads > 1) must reproduce the serial simulator
-// bit for bit on every scenario shape — co-run pairs and triples, SMRA
-// dynamics, sampled mode — for every stripe count; sim_threads must never
-// enter config renderings, fingerprints or store keys; the persistent
-// WorkerPool behind it must fail fast and tolerate nesting; and the
-// experiment engine's two-level budget must resolve sim_threads from the
-// declared batch, not the shard slice.
+// The persistent WorkerPool behind parallel_for: every index runs exactly
+// once, the first exception fails the job fast, nested use of the one
+// shared pool is safe, and the serial fallbacks stay on the caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/parallel.h"
-#include "exp/experiment.h"
-#include "profile/profile_cache.h"
-#include "sched/smra.h"
-#include "sim/config_io.h"
-#include "sim/gpu.h"
 
-namespace gpumas::sim {
+namespace gpumas {
 namespace {
-
-GpuConfig small_gpu() {
-  GpuConfig cfg;
-  cfg.num_sms = 8;
-  cfg.num_channels = 2;
-  cfg.l2.size_bytes = 64 * 1024;
-  cfg.max_cycles = 5'000'000;
-  return cfg;
-}
-
-KernelParams micro_kernel(const std::string& name, uint64_t seed,
-                          double mem_ratio) {
-  KernelParams kp;
-  kp.name = name;
-  kp.num_blocks = 24;
-  kp.warps_per_block = 2;
-  kp.insns_per_warp = 300;
-  kp.mem_ratio = mem_ratio;
-  kp.footprint_bytes = 8ull << 20;
-  kp.pattern = AccessPattern::kTiled;
-  kp.hot_fraction = 0.7;
-  kp.divergence = 2;
-  kp.ilp = 4;
-  kp.mlp = 4;
-  kp.seed = seed;
-  return kp;
-}
-
-RunResult run(GpuConfig cfg, const std::vector<KernelParams>& kernels,
-              int sim_threads) {
-  cfg.sim_threads = sim_threads;
-  Gpu gpu(cfg);
-  for (const auto& kp : kernels) gpu.launch(kp);
-  return gpu.run_to_completion();
-}
-
-void expect_identical(const RunResult& a, const RunResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.cycles, b.cycles) << label;
-  ASSERT_EQ(a.apps.size(), b.apps.size()) << label;
-  for (size_t i = 0; i < a.apps.size(); ++i) {
-    for_each_app_stat(a.apps[i], b.apps[i],
-                      [&](const char* name, uint64_t x, uint64_t y) {
-                        EXPECT_EQ(x, y) << label << " app " << i << " "
-                                        << name;
-                      });
-  }
-  ASSERT_EQ(a.sample_estimates.size(), b.sample_estimates.size()) << label;
-  for (size_t i = 0; i < a.sample_estimates.size(); ++i) {
-    EXPECT_EQ(a.sample_estimates[i].windows, b.sample_estimates[i].windows)
-        << label << " app " << i;
-    EXPECT_EQ(a.sample_estimates[i].mean_ipc, b.sample_estimates[i].mean_ipc)
-        << label << " app " << i;
-    EXPECT_EQ(a.sample_estimates[i].ci95, b.sample_estimates[i].ci95)
-        << label << " app " << i;
-  }
-}
-
-constexpr int kStripeCounts[] = {2, 4, 8};
-
-TEST(ParTest, TwoAppRunIsByteIdenticalAcrossSimThreads) {
-  const std::vector<KernelParams> pair = {micro_kernel("a", 3, 0.05),
-                                          micro_kernel("b", 11, 0.3)};
-  const RunResult serial = run(small_gpu(), pair, 1);
-  for (const int t : kStripeCounts) {
-    expect_identical(serial, run(small_gpu(), pair, t),
-                     "two-app T=" + std::to_string(t));
-  }
-}
-
-TEST(ParTest, ThreeAppRunIsByteIdenticalAcrossSimThreads) {
-  const std::vector<KernelParams> triple = {micro_kernel("a", 3, 0.05),
-                                            micro_kernel("b", 11, 0.3),
-                                            micro_kernel("c", 23, 0.15)};
-  GpuConfig cfg = small_gpu();
-  cfg.num_sms = 9;  // divisible three-way
-  const RunResult serial = run(cfg, triple, 1);
-  for (const int t : kStripeCounts) {
-    expect_identical(serial, run(cfg, triple, t),
-                     "three-app T=" + std::to_string(t));
-  }
-}
-
-TEST(ParTest, SampledModeIsByteIdenticalAcrossSimThreads) {
-  const std::vector<KernelParams> pair = {micro_kernel("a", 3, 0.05),
-                                          micro_kernel("b", 11, 0.3)};
-  GpuConfig cfg = small_gpu();
-  cfg.sim_mode = SimMode::kSampled;
-  const RunResult serial = run(cfg, pair, 1);
-  EXPECT_FALSE(serial.sample_estimates.empty());
-  for (const int t : kStripeCounts) {
-    expect_identical(serial, run(cfg, pair, t),
-                     "sampled T=" + std::to_string(t));
-  }
-}
-
-// The SMRA driver loop (window-capped skip barriers + controller
-// repartitioning after every tick) over the parallel phase.
-RunResult run_smra(GpuConfig cfg, const std::vector<KernelParams>& kernels,
-                   int sim_threads) {
-  cfg.sim_threads = sim_threads;
-  Gpu gpu(cfg);
-  for (const auto& kp : kernels) gpu.launch(kp);
-  gpu.set_partition_counts({cfg.num_sms / 2, cfg.num_sms - cfg.num_sms / 2});
-  sched::SmraParams params;
-  params.rmin = 2;  // the small device still leaves room to move SMs
-  sched::SmraController controller(params, cfg);
-  while (!gpu.done()) {
-    gpu.set_skip_barrier(controller.next_eval());
-    gpu.tick();
-    controller.on_tick(gpu);
-  }
-  RunResult result;
-  result.cycles = gpu.cycle();
-  result.apps = gpu.stats();
-  result.warp_size = cfg.warp_size;
-  return result;
-}
-
-TEST(ParTest, SmraRunIsByteIdenticalAcrossSimThreads) {
-  const std::vector<KernelParams> pair = {micro_kernel("a", 3, 0.02),
-                                          micro_kernel("b", 11, 0.35)};
-  const RunResult serial = run_smra(small_gpu(), pair, 1);
-  for (const int t : kStripeCounts) {
-    expect_identical(serial, run_smra(small_gpu(), pair, t),
-                     "smra T=" + std::to_string(t));
-  }
-}
-
-TEST(ParTest, SimThreadsExceedingSmCountIsClampedAndIdentical) {
-  const std::vector<KernelParams> pair = {micro_kernel("a", 3, 0.05),
-                                          micro_kernel("b", 11, 0.3)};
-  expect_identical(run(small_gpu(), pair, 1), run(small_gpu(), pair, 64),
-                   "T=64 on 8 SMs");
-}
-
-// --- store-key stability ---
-
-TEST(ParTest, SimThreadsIsExcludedFromConfigRenderingAndFingerprint) {
-  GpuConfig a = small_gpu();
-  GpuConfig b = small_gpu();
-  b.sim_threads = 8;
-  EXPECT_EQ(config_to_string(a), config_to_string(b));
-  EXPECT_EQ(profile::config_fingerprint(a), profile::config_fingerprint(b));
-  // Rendering never mentions the field at all.
-  EXPECT_EQ(config_to_string(b).find("sim_threads"), std::string::npos);
-}
-
-TEST(ParTest, SimThreadsParsesButDropsOnRoundTrip) {
-  GpuConfig cfg;
-  config_from_string("sim_threads = 6\nnum_sms = 12\n", cfg);
-  EXPECT_EQ(cfg.sim_threads, 6);
-  EXPECT_EQ(cfg.num_sms, 12);
-  // A save/load round trip intentionally loses the field (back to auto).
-  GpuConfig reloaded;
-  config_from_string(config_to_string(cfg), reloaded);
-  EXPECT_EQ(reloaded.sim_threads, 0);
-  EXPECT_EQ(reloaded.num_sms, 12);
-}
-
-TEST(ParTest, GroupRunCacheIsSharedAcrossSimThreads) {
-  const std::vector<KernelParams> pair = {micro_kernel("a", 3, 0.05),
-                                          micro_kernel("b", 11, 0.3)};
-  GpuConfig cfg1 = small_gpu();
-  cfg1.sim_threads = 1;
-  GpuConfig cfg4 = small_gpu();
-  cfg4.sim_threads = 4;
-
-  profile::ProfileCache cache;
-  const auto canon1 =
-      profile::canonicalize_group(cfg1, pair, {4, 4}, "static");
-  const auto canon4 =
-      profile::canonicalize_group(cfg4, pair, {4, 4}, "static");
-  const auto rec1 = cache.group_run(cfg1, canon1, {});
-  const auto rec4 = cache.group_run(cfg4, canon4, {});
-  // One simulation, one cache hit: sim_threads is not part of the key.
-  EXPECT_EQ(cache.group_misses(), 1u);
-  EXPECT_EQ(cache.group_hits(), 1u);
-  EXPECT_EQ(rec1.group_cycles, rec4.group_cycles);
-  EXPECT_EQ(rec1.app_cycles, rec4.app_cycles);
-  EXPECT_EQ(rec1.app_thread_insns, rec4.app_thread_insns);
-}
-
-// --- the worker pool ---
 
 TEST(ParTest, ParallelForRunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> counts(257);
@@ -238,9 +43,9 @@ TEST(ParTest, ParallelForExceptionPropagatesAndStopsClaiming) {
 }
 
 TEST(ParTest, WorkerPoolNestedRunIsSafe) {
-  // The experiment engine calls parallel_for around scenarios whose Gpu
-  // ticks call WorkerPool::shared().run for the SM phase — nested use of
-  // one pool must not deadlock or lose iterations.
+  // The experiment engine calls parallel_for around scenarios whose queue
+  // runs fan their co-run groups out through parallel_for again — nested
+  // use of one pool must not deadlock or lose iterations.
   std::atomic<int> total{0};
   parallel_for(2, 3, [&](size_t) {
     parallel_for(2, 5, [&](size_t) { total.fetch_add(1); });
@@ -257,109 +62,4 @@ TEST(ParTest, SerialFallbacksDoNotTouchThePool) {
 }
 
 }  // namespace
-}  // namespace gpumas::sim
-
-// --- the engine's two-level budget ---
-
-namespace gpumas::exp {
-namespace {
-
-ScenarioSpec explicit_scenario(const std::string& name, uint64_t seed) {
-  ScenarioSpec spec;
-  spec.name = name;
-  spec.config = sim::small_gpu();
-  spec.policy = sched::Policy::kEven;
-  spec.queue = QueueSpec::Explicit({sim::micro_kernel("x" + name, seed, 0.05),
-                                    sim::micro_kernel("y" + name, seed + 7,
-                                                      0.3)});
-  return spec;
-}
-
-TEST(ParTest, SingleScenarioGetsTheFullThreadBudget) {
-  profile::ProfileCache cache;
-  ExperimentRunner engine(cache, /*threads=*/4);
-  const ScenarioResult r = engine.run_one(explicit_scenario("solo", 3));
-  ASSERT_TRUE(r.has_reps());
-  EXPECT_EQ(r.report().sim_threads, 4);
-  EXPECT_GT(r.report().wall_ms, 0.0);
-}
-
-TEST(ParTest, SaturatedBatchRunsSerialInside) {
-  profile::ProfileCache cache;
-  ExperimentRunner engine(cache, /*threads=*/4);
-  std::vector<ScenarioSpec> batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back(
-        explicit_scenario("s" + std::to_string(i), 100 + 10 * i));
-  }
-  for (const auto& r : engine.run(batch)) {
-    ASSERT_TRUE(r.has_reps());
-    EXPECT_EQ(r.report().sim_threads, 1) << r.name;
-  }
-}
-
-TEST(ParTest, ShardedBatchResolvesTheSameBudgetAsUnsharded) {
-  // The budget must be a function of the declared batch, not the shard
-  // slice: a 1-of-4 shard of an 8-scenario batch still runs serial inside,
-  // exactly like the unsharded batch, so serialized records merge
-  // byte-identically.
-  profile::ProfileCache cache;
-  ExperimentRunner engine(cache, /*threads=*/4);
-  std::vector<ScenarioSpec> batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back(
-        explicit_scenario("s" + std::to_string(i), 100 + 10 * i));
-  }
-  const auto results = engine.run(batch, Shard{0, 4});
-  int executed = 0;
-  for (const auto& r : results) {
-    if (!r.has_reps()) continue;
-    ++executed;
-    EXPECT_EQ(r.report().sim_threads, 1) << r.name;
-  }
-  EXPECT_EQ(executed, 2);
-}
-
-TEST(ParTest, ExplicitSimThreadsIsNeverOverridden) {
-  profile::ProfileCache cache;
-  ExperimentRunner engine(cache, /*threads=*/4);
-  ScenarioSpec spec = explicit_scenario("pinned", 3);
-  spec.config.sim_threads = 2;
-  const ScenarioResult r = engine.run_one(spec);
-  ASSERT_TRUE(r.has_reps());
-  EXPECT_EQ(r.report().sim_threads, 2);
-}
-
-TEST(ParTest, BatchResultsAreIdenticalToSerialEngine) {
-  // End to end: a 2-scenario batch on a 4-thread engine (each run gets
-  // sim_threads = 2) must serialize byte-identically to the same batch on
-  // a single-threaded engine — except for the sim_threads token itself,
-  // which the records carry by design. Compare the reports field-wise.
-  std::vector<ScenarioSpec> batch = {explicit_scenario("a", 3),
-                                     explicit_scenario("b", 200)};
-  profile::ProfileCache cache_par, cache_ser;
-  ExperimentRunner par(cache_par, /*threads=*/4);
-  ExperimentRunner ser(cache_ser, /*threads=*/1);
-  const auto rp = par.run(batch);
-  const auto rs = ser.run(batch);
-  ASSERT_EQ(rp.size(), rs.size());
-  for (size_t i = 0; i < rp.size(); ++i) {
-    ASSERT_TRUE(rp[i].has_reps());
-    ASSERT_TRUE(rs[i].has_reps());
-    EXPECT_EQ(rp[i].report().sim_threads, 2);
-    EXPECT_EQ(rs[i].report().sim_threads, 1);
-    EXPECT_EQ(rp[i].report().total_cycles, rs[i].report().total_cycles);
-    EXPECT_EQ(rp[i].report().total_thread_insns,
-              rs[i].report().total_thread_insns);
-    ASSERT_EQ(rp[i].report().groups.size(), rs[i].report().groups.size());
-    for (size_t g = 0; g < rp[i].report().groups.size(); ++g) {
-      EXPECT_EQ(rp[i].report().groups[g].app_cycles,
-                rs[i].report().groups[g].app_cycles);
-      EXPECT_EQ(rp[i].report().groups[g].app_thread_insns,
-                rs[i].report().groups[g].app_thread_insns);
-    }
-  }
-}
-
-}  // namespace
-}  // namespace gpumas::exp
+}  // namespace gpumas

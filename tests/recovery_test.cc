@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -394,6 +395,38 @@ TEST(HarnessResumeTest, CrashMidBatchThenResumeIsByteIdentical) {
   EXPECT_FALSE(fs::exists(dump + ".journal"));
 }
 
+TEST(HarnessResumeTest, ResumeAtADifferentWidthIsByteIdentical) {
+  const std::string dir = test_dir("resume_width");
+  const std::string ref = dir + "/ref.txt";
+  const std::string dump = dir + "/crash.txt";
+  const auto specs = tiny_batch();
+
+  run_bench({"--threads", "1", "--dump-results", ref}, specs);
+  const std::string want = read_file(ref);
+  ASSERT_FALSE(want.empty());
+
+  EXPECT_EXIT(
+      run_bench({"--threads", "1", "--dump-results", dump, "--faults",
+                 "crash:write:3"},
+                specs),
+      ::testing::ExitedWithCode(common::FaultInjector::kCrashExitCode), "");
+  ASSERT_TRUE(fs::exists(dump + ".journal"));
+
+  // Records do not depend on --threads, so the journal accepts a wider
+  // resume and the final dump still matches the uninterrupted run. The
+  // wide run goes in a child process: it starts the shared worker pool,
+  // and the death tests below fork this process.
+  EXPECT_EXIT(
+      {
+        run_bench({"--threads", "2", "--dump-results", dump, "--resume"},
+                  specs);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_EQ(read_file(dump), want);
+  EXPECT_FALSE(fs::exists(dump + ".journal"));
+}
+
 TEST(HarnessResumeTest, ResumeAfterCleanCompletionIsIdempotent) {
   const std::string dir = test_dir("resume_idempotent");
   const std::string dump = dir + "/results.txt";
@@ -420,10 +453,11 @@ TEST(HarnessResumeTest, ResumeUnderDifferentFlagsExitsTwo) {
                 specs),
       ::testing::ExitedWithCode(common::FaultInjector::kCrashExitCode), "");
 
-  // A different thread budget resolves a different sim_threads split, so
-  // the journal's fingerprint header must refuse the resume.
+  // A different repetition count changes the records themselves, so the
+  // journal's fingerprint header must refuse the resume.
   EXPECT_EXIT(
-      run_bench({"--threads", "2", "--dump-results", dump, "--resume"},
+      run_bench({"--threads", "1", "--reps", "2", "--dump-results", dump,
+                 "--resume"},
                 specs),
       ::testing::ExitedWithCode(2), "");
 }

@@ -1,7 +1,7 @@
 // Tests for the versioned result-record serialization and the shard-dump
 // merge: field-exact round-trips (including hostile names), strict
-// rejection of corrupt/duplicate/mixed-version input, and the disjointness
-// and completeness validation behind the merge-results tool.
+// rejection of corrupt, duplicate and unsupported-version input, and the
+// disjointness and completeness validation behind the merge-results tool.
 #include "exp/result_io.h"
 
 #include <gtest/gtest.h>
@@ -45,12 +45,6 @@ sched::RunReport report(sched::Policy policy, uint64_t base) {
     r.total_sample_windows += g.sample_windows;
   }
   r.total_thread_insns = 17 * base + 3;
-  // Exercise a non-default intra-run budget so the v3 round trip is not
-  // trivially testing the field's default.
-  r.sim_threads = 4;
-  // wall_ms must NOT survive serialization (real time is not part of a
-  // record's identity); round-trip expectations below assert it reset.
-  r.wall_ms = 123.5;
   return r;
 }
 
@@ -58,10 +52,6 @@ void expect_eq(const sched::RunReport& a, const sched::RunReport& b) {
   EXPECT_EQ(a.policy, b.policy);
   EXPECT_EQ(a.total_cycles, b.total_cycles);
   EXPECT_EQ(a.total_thread_insns, b.total_thread_insns);
-  EXPECT_EQ(a.sim_threads, b.sim_threads);
-  // wall_ms is in-memory-only by design; a parsed report always carries the
-  // default regardless of what the serialized run measured.
-  EXPECT_EQ(b.wall_ms, 0.0);
   EXPECT_EQ(a.total_ticked_cycles, b.total_ticked_cycles);
   EXPECT_EQ(a.total_skipped_cycles, b.total_skipped_cycles);
   EXPECT_EQ(a.total_sample_windows, b.total_sample_windows);
@@ -187,87 +177,24 @@ TEST(ResultIoTest, CorruptLinesAreRejected) {
   EXPECT_THROW(parse_record("profile BFS2 cycles=3"), std::logic_error);
 }
 
-// Erases the whole `<space>...needle...` token around each occurrence of
-// `needle` (which must not start mid-another-token or contain a space).
-void erase_tokens(std::string& line, const std::string& needle) {
-  size_t at;
-  while ((at = line.find(needle)) != std::string::npos) {
-    const size_t start = line.rfind(' ', at);
-    const size_t end = line.find(' ', at);
-    line.erase(start,
-               (end == std::string::npos ? line.size() : end) - start);
-  }
-}
-
-// Strips the run-level `sim_threads` token from a serialized v3 line and
-// relabels it v=2 — the shape a v2 writer produced.
-std::string downgrade_to_v2(std::string line) {
-  line.replace(line.find("v=3"), 3, "v=2");
-  erase_tokens(line, "sim_threads=");
-  return line;
-}
-
-// Additionally strips every `gK.<efficiency counter>=...` token and
-// relabels v=1 — the shape the original writer produced.
-std::string downgrade_to_v1(std::string line) {
-  line = downgrade_to_v2(line);
-  line.replace(line.find("v=2"), 3, "v=1");
-  for (const char* key : {"ticked_cycles", "skipped_cycles",
-                          "sample_windows"}) {
-    erase_tokens(line, std::string(".") + key + "=");
-  }
-  return line;
-}
-
 TEST(ResultIoTest, VersionHandling) {
   std::string line = to_string(scenario("s", sched::Policy::kEven, 1, 7), 0, 0);
   line.pop_back();
   ASSERT_NE(line.find("result v=3 "), std::string::npos);
 
-  // A future version is rejected rather than guessed at.
-  std::string v4 = line;
-  v4.replace(v4.find("v=3"), 3, "v=4");
-  EXPECT_THROW(parse_record(v4), std::logic_error);
-
-  // An old-version line carrying newer-only keys is rejected (TokenMap
-  // strictness): v1 with v2/v3 keys, v2 with the v3 key.
-  for (const char* old_tag : {"v=1", "v=2"}) {
+  // Any version but v=3 — the retired v1/v2 layouts and a future v4
+  // alike — is rejected as unsupported rather than guessed at.
+  for (const char* tag : {"v=1", "v=2", "v=4"}) {
     std::string relabeled = line;
-    relabeled.replace(relabeled.find("v=3"), 3, old_tag);
-    EXPECT_THROW(parse_record(relabeled), std::logic_error);
-  }
-
-  // A genuine v2 line (no sim_threads) still parses: the run loads the
-  // serial default, everything else is field-exact.
-  {
-    const Record rec = parse_record(downgrade_to_v2(line));
-    EXPECT_EQ(rec.version, 2);
-    EXPECT_EQ(rec.name, "s");
-    EXPECT_EQ(rec.report.sim_threads, 1);
-    const Record now = parse_record(line);
-    EXPECT_EQ(rec.report.total_cycles, now.report.total_cycles);
-    EXPECT_EQ(rec.report.total_ticked_cycles,
-              now.report.total_ticked_cycles);
-  }
-
-  // A genuine v1 line (no efficiency counters either) still parses: the
-  // new fields load their defaults, everything else is field-exact.
-  const Record rec = parse_record(downgrade_to_v1(line));
-  EXPECT_EQ(rec.name, "s");
-  EXPECT_EQ(rec.report.sim_threads, 1);
-  EXPECT_EQ(rec.report.total_ticked_cycles, 0u);
-  EXPECT_EQ(rec.report.total_skipped_cycles, 0u);
-  EXPECT_EQ(rec.report.total_sample_windows, 0u);
-  const Record now = parse_record(line);
-  EXPECT_EQ(rec.report.total_cycles, now.report.total_cycles);
-  EXPECT_EQ(rec.report.total_thread_insns, now.report.total_thread_insns);
-  ASSERT_EQ(rec.report.groups.size(), now.report.groups.size());
-  for (size_t g = 0; g < rec.report.groups.size(); ++g) {
-    EXPECT_EQ(rec.report.groups[g].names, now.report.groups[g].names);
-    EXPECT_EQ(rec.report.groups[g].cycles, now.report.groups[g].cycles);
-    EXPECT_EQ(rec.report.groups[g].ticked_cycles, 0u);
-    EXPECT_EQ(rec.report.groups[g].skipped_cycles, 0u);
-    EXPECT_EQ(rec.report.groups[g].sample_windows, 0u);
+    relabeled.replace(relabeled.find("v=3"), 3, tag);
+    try {
+      parse_record(relabeled);
+      FAIL() << tag << " must not parse";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported format version"),
+                std::string::npos)
+          << e.what();
+    }
   }
 
   // A v3 line missing a required token of its version is rejected — the
@@ -281,28 +208,22 @@ TEST(ResultIoTest, VersionHandling) {
     EXPECT_THROW(parse_record(bad), std::logic_error);
   }
 
+  // The writer always emits sim_threads=1. Older v3 dumps may carry a
+  // larger value; it still parses, is not kept, and re-serializes as 1.
+  const std::string one = " sim_threads=1 ";
+  const size_t at = line.find(one);
+  ASSERT_NE(at, std::string::npos);
+  std::string wide = line;
+  wide.replace(at, one.size(), " sim_threads=4 ");
+  const Record rec = parse_record(wide);
+  EXPECT_EQ(rec.name, "s");
+  EXPECT_EQ(to_string(ScenarioResult{rec.name, {rec.report}}, 0, 0),
+            line + "\n");
+
   // A nonsensical sim_threads value is rejected.
-  {
-    std::string bad = line;
-    const size_t at = bad.find(" sim_threads=");
-    bad.replace(at, std::string(" sim_threads=4").size(), " sim_threads=0");
-    EXPECT_THROW(parse_record(bad), std::logic_error);
-  }
-
-  // Mixed-version records refuse to merge even inside one dump: they
-  // were written by different binaries, and the older records would
-  // silently read as zero for the newer fields.
-  const std::string other =
-      to_string(scenario("t", sched::Policy::kEven, 1, 8), 0, 1);
-  const std::string mixed =
-      downgrade_to_v1(line) + "\n" + downgrade_to_v2(other);
-  EXPECT_THROW(merge_dumps({{"mixed.dump", mixed}}), std::logic_error);
-
-  // A uniformly old dump still merges: downgrading both records to v2
-  // keeps the versions consistent.
-  const std::string uniform =
-      downgrade_to_v2(line) + "\n" + downgrade_to_v2(other);
-  EXPECT_NO_THROW(merge_dumps({{"old.dump", uniform}}));
+  std::string bad = line;
+  bad.replace(at, one.size(), " sim_threads=0 ");
+  EXPECT_THROW(parse_record(bad), std::logic_error);
 }
 
 // --- merge_dumps ---
@@ -396,25 +317,22 @@ TEST(ResultIoTest, MergeRejectsConflictingRecords) {
   EXPECT_THROW(merge_dumps({{"mangled.dump", mangled}}), std::logic_error);
 }
 
-TEST(ResultIoTest, MergeRejectsVersionMismatchAcrossDumps) {
-  // Two shards written by different binary versions (one v=3, one
-  // downgraded to v=2) must fail the merge with a named error locating
-  // both records — this is how merge-results exits nonzero instead of
-  // silently producing a table with zeroed newer fields.
+TEST(ResultIoTest, MergeRejectsUnsupportedVersionDumps) {
+  // A shard written by an older binary (a v=2 record) must fail the merge
+  // with a named error locating the record — this is how merge-results
+  // exits nonzero instead of merging records it cannot read.
   const std::string a =
       to_string(scenario("s", sched::Policy::kEven, 1, 7), 0, 0);
   std::string b = to_string(scenario("t", sched::Policy::kEven, 1, 8), 0, 1);
-  b = downgrade_to_v2(b);
+  b.replace(b.find("v=3"), 3, "v=2");
   try {
     merge_dumps({{"new.dump", a}, {"old.dump", b}});
-    FAIL() << "version-mixed dumps must not merge";
+    FAIL() << "a v=2 dump must not merge";
   } catch (const std::logic_error& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("record version mismatch"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("new.dump:1"), std::string::npos) << msg;
     EXPECT_NE(msg.find("old.dump:1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("v=3"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("v=2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unsupported format version v=2"), std::string::npos)
+        << msg;
   }
 }
 

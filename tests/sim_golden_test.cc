@@ -1,9 +1,9 @@
 // Golden simulator digests: each scenario's RunResult (total cycles, every
 // AppStats counter and the sampled-mode estimates) is hashed and compared
 // with a constant recorded from a known-good build. The fast-path identity
-// suites (fastpath_test, par_test) compare two loops that share the warp
-// scheduler, the LSU and the memory system, so a behaviour change inside
-// that shared code passes them; these digests catch it. A mismatch means the
+// suite (fastpath_test) compares two loops that share the warp scheduler,
+// the LSU and the memory system, so a behaviour change inside that shared
+// code passes it; these digests catch it. A mismatch means the
 // simulated trajectory changed: if the change is intended, re-record the
 // constant (the failure message prints it) and say why in the change log.
 #include <gtest/gtest.h>

@@ -3,7 +3,7 @@
 //   detlint [--json FILE] [--readme FILE] PATH [PATH...]
 //
 // Every guarantee this repo ships — byte-identical results across
-// sim_threads, shard counts and warm/cold stores — is enforced
+// thread counts, shard counts and warm/cold stores — is enforced
 // dynamically by golden tests, which catch a violation only after it has
 // shipped. The hazard classes are known and recurring, so this tool
 // catches them statically, before any simulation runs, by pattern
@@ -18,9 +18,9 @@
 //                   wall-clock and unseeded randomness leak real time
 //                   into results. The perf-benchmark harnesses
 //                   (bench/micro_*_benchmark.cc) are exempt: measuring
-//                   wall time is their purpose. Library wait/timing
-//                   paths (runner.cc wall_ms, profile_cache.cc
-//                   wait_for) carry explicit annotations instead.
+//                   wall time is their purpose. Library wait paths
+//                   (profile_cache.cc wait_for) carry explicit
+//                   annotations instead.
 //   ptr-key         a pointer type as the key of an associative
 //                   container (or std::hash over a pointer) — pointer
 //                   values differ run to run, so any order or hash
@@ -29,9 +29,7 @@
 // Schema-parity rules (drift between shards = silent corruption)
 //   config-parity   every key config_io.cc parses (a `key == "..."`
 //                   branch or a fields() map entry) must be rendered by
-//                   config_to_string, except the declared exclusion
-//                   list (sim_threads — excluded from fingerprints on
-//                   purpose, see config_io.cc).
+//                   config_to_string.
 //   result-parity   every `field=` result_io.cc writes must have a
 //                   matching parse (a bare-word "field" literal) — a
 //                   written-but-unparsed field makes dumps unreadable.
@@ -53,7 +51,7 @@
 //                   append+fsync logs through common::JournalWriter.
 //
 // Suppression: a comment naming the rule and a mandatory reason, e.g.
-//   detlint:ok(wall-clock) wall_ms is in-memory only, never serialized
+//   detlint:ok(wall-clock) zero-timeout readiness poll; no time value escapes
 // silences that rule on the annotation's own line and the next line. An
 // unknown rule name or a missing reason is itself reported
 // (bad-annotation) — an allowlist that can rot silently is no allowlist.
@@ -123,7 +121,6 @@ const std::set<std::string> kWallClockExemptFiles = {
     "micro_sim_benchmark.cc",
     "micro_exp_benchmark.cc",
     "micro_sample_benchmark.cc",
-    "micro_par_benchmark.cc",
 };
 
 // Path-anchored wall-clock exemptions: the shard orchestrator is the
@@ -145,11 +142,6 @@ bool path_anchored_match(const std::string& path, const std::string& suffix) {
          path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
              0;
 }
-
-// Config keys parsed on purpose without a config_to_string rendering:
-// sim_threads cannot change results, so it must stay out of fingerprints
-// and every store key a fingerprint feeds (see config_io.cc).
-const std::set<std::string> kConfigKeyExclusions = {"sim_threads"};
 
 // Bench flags that need no README table row.
 const std::set<std::string> kFlagExclusions = {"--help"};
@@ -691,14 +683,13 @@ void Linter::rule_config_parity(const FileCtx& f) {
     }
   }
   for (const auto& [key, line] : parsed) {
-    if (rendered.count(key) || kConfigKeyExclusions.count(key)) continue;
+    if (rendered.count(key)) continue;
     report(f, line, "config-parity",
            "config key '" + key +
                "' is parsed but never rendered by config_to_string — "
                "fingerprints and store keys will not see it, so two "
                "configs differing only in '" + key +
-               "' would share artifacts; render it or add it to the "
-               "declared exclusion list");
+               "' would share artifacts; render it");
   }
 }
 
