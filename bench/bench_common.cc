@@ -144,6 +144,13 @@ Harness::Harness(int argc, char** argv)
     } else if (opts_.sim_mode == "detailed") {
       cfg_.sim_mode = sim::SimMode::kDetailed;
     }
+    // The store is a directory; refuse a file before anything is written.
+    if (std::filesystem::is_regular_file(opts_.profile_cache_path)) {
+      std::cerr << argv[0] << ": --profile-cache " << opts_.profile_cache_path
+                << " is a file; it must name the artifact store directory "
+                   "(profiles.txt, models.txt and groups.txt inside)\n";
+      std::exit(2);
+    }
     if (!opts_.dump_path.empty()) {
       const std::string journal_path = opts_.dump_path + ".journal";
       if (opts_.resume) {
@@ -184,15 +191,7 @@ Harness::Harness(int argc, char** argv)
       if (!journal_has_header_) journal_->append(journal_header());
     }
     if (!opts_.profile_cache_path.empty()) {
-      // An existing regular file is the legacy profile-only cache; any
-      // other path is the directory artifact store (profiles + models).
-      legacy_cache_file_ =
-          std::filesystem::is_regular_file(opts_.profile_cache_path);
-      const bool loaded =
-          legacy_cache_file_
-              ? cache_.load_if_exists(opts_.profile_cache_path)
-              : cache_.load_store_if_exists(opts_.profile_cache_path);
-      if (loaded) {
+      if (cache_.load_store_if_exists(opts_.profile_cache_path)) {
         std::cerr << "[bench] artifact store: loaded " << cache_.size()
                   << " profiles, " << cache_.model_count() << " models, "
                   << cache_.group_count() << " groups from "
@@ -225,30 +224,15 @@ Harness::~Harness() {
   if (opts_.store_stats) print_store_stats();
   if (!opts_.profile_cache_path.empty()) {
     try {
-      if (legacy_cache_file_) {
-        cache_.save(opts_.profile_cache_path);
-        std::cerr << "[bench] artifact store: saved " << cache_.size()
-                  << " profiles (" << cache_.misses()
-                  << " measured this run) to " << opts_.profile_cache_path
-                  << " (legacy profile-only file";
-        if (cache_.model_count() > 0 || cache_.group_count() > 0) {
-          std::cerr << "; " << cache_.model_count() << " models and "
-                    << cache_.group_count()
-                    << " group runs NOT persisted — pass a directory to "
-                       "keep them";
-        }
-        std::cerr << ")\n";
-      } else {
-        cache_.save_store(opts_.profile_cache_path);
-        std::cerr << "[bench] artifact store: saved " << cache_.size()
-                  << " profiles (" << cache_.misses()
-                  << " measured this run), " << cache_.model_count()
-                  << " models (" << cache_.model_misses()
-                  << " measured this run), " << cache_.group_count()
-                  << " groups (" << cache_.group_misses()
-                  << " measured this run) to " << opts_.profile_cache_path
-                  << "\n";
-      }
+      cache_.save_store(opts_.profile_cache_path);
+      std::cerr << "[bench] artifact store: saved " << cache_.size()
+                << " profiles (" << cache_.misses()
+                << " measured this run), " << cache_.model_count()
+                << " models (" << cache_.model_misses()
+                << " measured this run), " << cache_.group_count()
+                << " groups (" << cache_.group_misses()
+                << " measured this run) to " << opts_.profile_cache_path
+                << "\n";
     } catch (const std::exception& e) {
       std::cerr << "[bench] artifact store save failed: " << e.what()
                 << "\n";

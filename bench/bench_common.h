@@ -241,7 +241,6 @@ class Harness {
   profile::ProfileCache cache_;
   exp::ExperimentRunner engine_;
   std::optional<std::vector<profile::AppProfile>> profiles_;
-  bool legacy_cache_file_ = false;
   bool ran_ = false;   // whether any scenario batch went through run()
   int batch_ = 0;      // Harness::run() calls so far (the records' batch=)
 

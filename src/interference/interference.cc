@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
+#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -188,16 +190,27 @@ std::vector<std::string> split_classes(const std::string& s) {
   return tokens;
 }
 
+// Whole-value parses, like the store's field reader: "2.5x" or "-3" must
+// not load as 2.5 or a wrapped count.
 double parse_positive_double(const std::string& v, int line_no) {
-  std::istringstream vs(v);
-  double d = 0.0;
-  GPUMAS_CHECK_MSG(static_cast<bool>(vs >> d),
+  const auto d = text::parse_double_strict(v);
+  GPUMAS_CHECK_MSG(d.has_value(), "slowdown model line "
+                                      << line_no << ": cannot parse value '"
+                                      << v << "'");
+  GPUMAS_CHECK_MSG(*d > 0.0 && std::isfinite(*d),
                    "slowdown model line " << line_no
-                                          << ": cannot parse value '" << v
+                                          << ": non-positive or infinite "
+                                             "slowdown "
+                                          << *d);
+  return *d;
+}
+
+uint64_t parse_count(const std::string& v, uint64_t max, int line_no) {
+  const auto n = text::parse_u64_strict(v);
+  GPUMAS_CHECK_MSG(n.has_value() && *n <= max,
+                   "slowdown model line " << line_no << ": bad count '" << v
                                           << "'");
-  GPUMAS_CHECK_MSG(d > 0.0, "slowdown model line "
-                                << line_no << ": non-positive slowdown " << d);
-  return d;
+  return *n;
 }
 
 }  // namespace
@@ -264,22 +277,12 @@ SlowdownModel SlowdownModel::from_string(const std::string& text) {
         model.pair_[a][b] = parse_positive_double(v, line_no);
         seen_pair[a][b] = true;  // duplicate keys: last one wins
       } else {
-        std::istringstream vs(v);
-        int n = 0;
-        GPUMAS_CHECK_MSG(static_cast<bool>(vs >> n) && n >= 0,
-                         "slowdown model line " << line_no
-                                                << ": bad sample count '" << v
-                                                << "'");
-        model.samples_[a][b] = n;
+        model.samples_[a][b] =
+            static_cast<int>(parse_count(v, INT_MAX, line_no));
         seen_samples[a][b] = true;
       }
     } else if (k == "multi_count") {
-      std::istringstream vs(v);
-      GPUMAS_CHECK_MSG(static_cast<bool>(vs >> multi_count) &&
-                           multi_count >= 0,
-                       "slowdown model line " << line_no
-                                              << ": bad multi_count '" << v
-                                              << "'");
+      multi_count = static_cast<long>(parse_count(v, LONG_MAX, line_no));
     } else if (k.rfind("multi_", 0) == 0) {
       const auto tokens = split_classes(k.substr(6));
       GPUMAS_CHECK_MSG(tokens.size() >= 3, "slowdown model line "

@@ -31,15 +31,12 @@
 //
 // On disk the store is one directory: <dir>/profiles.txt holds the solo
 // measurements, <dir>/models.txt the slowdown models, <dir>/groups.txt the
-// group runs. The single-file profile format of save()/load() is kept for
-// profile-only uses.
+// group runs. The directory is the only persisted form. Each layer is a
+// StoreLayer (store_layer.h) with its own record codec.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -47,6 +44,7 @@
 
 #include "interference/interference.h"
 #include "profile/profile.h"
+#include "profile/store_layer.h"
 #include "sim/gpu_config.h"
 #include "sim/kernel.h"
 
@@ -196,10 +194,7 @@ class ProfileCache {
   // field on disk); these counters make a mixed store auditable
   // (--store-stats) and let CI assert that sampled and detailed artifacts
   // never cross-serve.
-  struct AccuracySplit {
-    size_t detailed = 0;
-    size_t sampled = 0;
-  };
+  using AccuracySplit = profile::AccuracySplit;
   AccuracySplit profile_split() const;
   AccuracySplit model_split() const;
   AccuracySplit group_split() const;
@@ -260,32 +255,17 @@ class ProfileCache {
   size_t merge_store(const std::string& dir);
 
   // --- persistence (config_io key = value idiom) ---
-  // Profile-only single-file form.
-  void save(const std::string& path) const;
-  void load(const std::string& path);        // throws if unreadable
-  bool load_if_exists(const std::string& path);  // false when absent
-
-  // Slowdown-model single-file form.
-  void save_models(const std::string& path) const;
-  void load_models(const std::string& path);  // throws if unreadable/corrupt
-  bool load_models_if_exists(const std::string& path);
-
-  // Group-run single-file form.
-  void save_groups(const std::string& path) const;
-  void load_groups(const std::string& path);  // throws if unreadable/corrupt
-  bool load_groups_if_exists(const std::string& path);
-
   // Whole-store directory form: <dir>/profiles.txt + <dir>/models.txt +
   // <dir>/groups.txt. save_store creates the directory and replaces each
   // file atomically (common::AtomicFile), so a crash mid-save leaves the
   // previous store intact. load_store_if_exists returns false when the
   // directory is absent and loads whichever artifact files exist,
   // all-or-nothing: every file is parsed and staged before a single entry
-  // installs. Unlike the strict single-file loaders, corrupt or truncated
-  // *entries* do not abort the load — they are sidelined to
-  // <dir>/quarantine/ with a named reason (quarantine_stats() counts them)
-  // and re-measured on demand; only a schema-version mismatch in a file's
-  // header rejects that store wholesale (throws std::logic_error).
+  // installs. Corrupt or truncated *entries* do not abort the load: they
+  // are sidelined to <dir>/quarantine/ with a named reason
+  // (quarantine_stats() counts them) and re-measured on demand; only a
+  // schema-version mismatch in a file's header rejects that store
+  // wholesale (throws std::logic_error).
   // save_store is non-const because it is also the compaction step: it
   // applies the group-layer byte bound (set_group_byte_limit) and stamps
   // the lifecycle generation before writing.
@@ -345,68 +325,24 @@ class ProfileCache {
   AppProfile lookup(const Key& key, const sim::GpuConfig& cfg,
                     const sim::KernelParams& kp, int num_sms,
                     bool scalability = false);
-  void insert_loaded(const Key& key, const AppProfile& p);
-  void insert_loaded_model(const ModelKey& key,
-                           interference::SlowdownModel model);
-  // `gen` is the entry's last-touched generation from its store file (0
-  // for pre-lifecycle stores, which makes them the oldest candidates).
-  void insert_loaded_group(const GroupKey& key, GroupRunRecord record,
-                           uint64_t gen = 0);
 
-  // Canonical per-entry renderings — the exact bytes the savers write per
-  // entry, shared with merge_store's conflict check (conflict = same key,
-  // different rendering) and the lifecycle byte accounting.
-  static std::string render_profile_entry(const Key& key, const AppProfile& p);
-  static std::string render_model_entry(const ModelKey& key,
-                                        const interference::SlowdownModel& m);
-  static std::string render_group_entry(const GroupKey& key,
-                                        const GroupRunRecord& r, uint64_t gen);
+  uint64_t generation() const;  // this run's lifecycle generation
 
-  // Applies the group byte bound: evicts least-recently-touched ready
-  // entries (never ones touched this generation) until the serialized
-  // layer fits. Called by save_store with mu_ NOT held.
-  void compact_groups();
+  // The record codecs of the three layers (defined in profile_cache.cc).
+  struct ProfileCodec;
+  struct ModelCodec;
+  struct GroupCodec;
 
-  // Stream-level strict loaders behind the public path-taking forms; the
-  // *_if_exists wrappers parse the stream they probed with (opening the
-  // path twice raced with concurrent store writers).
-  void load_profiles(std::istream& in);
-  void load_models(std::istream& in);
-  void load_groups(std::istream& in);
-
-  mutable std::mutex mu_;
-  std::map<Key, std::shared_future<AppProfile>> entries_;
-  std::map<ModelKey,
-           std::shared_future<std::shared_ptr<const interference::SlowdownModel>>>
+  StoreLayer<Key, AppProfile, ProfileCodec> profiles_;
+  StoreLayer<ModelKey, std::shared_ptr<const interference::SlowdownModel>,
+             ModelCodec>
       models_;
-  std::map<GroupKey, std::shared_future<GroupRunRecord>> groups_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t scalability_hits_ = 0;
-  uint64_t scalability_misses_ = 0;
-  uint64_t model_hits_ = 0;
-  uint64_t model_misses_ = 0;
-  uint64_t group_hits_ = 0;
-  uint64_t group_misses_ = 0;
-  QuarantineStats quarantine_;
+  StoreLayer<GroupKey, GroupRunRecord, GroupCodec> groups_;
 
-  // --- lifecycle state ---
-  // Per-group-entry metadata: the last generation that touched the entry
-  // (persisted as `gen =`) and whether this run touched it (drives the
-  // live/dead byte split; gen == generation_ is what eviction protects).
-  struct EntryMeta {
-    uint64_t gen = 0;
-    bool touched = false;
-  };
-  std::map<GroupKey, EntryMeta> group_meta_;
-  // Profiles and models are not evicted (they are small and shared); only
-  // their touched sets are tracked, for the live/dead byte accounting.
-  std::map<Key, bool> profile_touched_;
-  std::map<ModelKey, bool> model_touched_;
+  // --- lifecycle state (store-wide; the layers lock themselves) ---
+  mutable std::mutex mu_;  // guards the two fields below
   uint64_t generation_ = 1;       // loaded store generation + 1
   uint64_t last_compaction_ = 0;  // generation of the last store write
-  uint64_t group_byte_limit_ = 0;  // 0 = unbounded
-  uint64_t evicted_groups_ = 0;
 };
 
 }  // namespace gpumas::profile

@@ -1,18 +1,55 @@
-// Tests for the shared solo-profiling cache: memoization, thread safety,
-// threshold orthogonality and the key=value disk round-trip.
+// Tests for the artifact store: memoization, thread safety, threshold
+// orthogonality, the store directory round-trip and its strict, salvaging
+// per-entry parsers.
 #include "profile/profile_cache.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <sstream>
 #include <thread>
 
+#include "common/prng.h"
 #include "profile/profile.h"
 
 namespace gpumas::profile {
 namespace {
+
+namespace fs = std::filesystem;
+
+// A fresh, empty store directory path (not yet created).
+std::string store_dir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() / ("gpumas_pc_" + name);
+  fs::remove_all(dir);
+  return dir.string();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+}
+
+// Loads a store directory whose only member is `file` holding `text`.
+std::unique_ptr<ProfileCache> load_member(const std::string& dir,
+                                          const std::string& file,
+                                          const std::string& text) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  write_file(dir + "/" + file, text);
+  auto cache = std::make_unique<ProfileCache>();
+  EXPECT_TRUE(cache->load_store_if_exists(dir));
+  return cache;
+}
 
 sim::GpuConfig small_gpu() {
   sim::GpuConfig cfg;
@@ -212,57 +249,62 @@ TEST(ProfileCacheTest, DiskRoundTrip) {
   const sim::GpuConfig cfg = small_gpu();
   const auto a = kernel("a", 0.1, 1);
   const auto b = kernel("b", 0.02, 2);
-  const std::string path = "/tmp/gpumas_profile_cache_test.txt";
+  const std::string dir = store_dir("roundtrip");
 
   ProfileCache cache;
   const AppProfile pa = cache.solo(cfg, a);
   cache.solo(cfg, b, 6);
-  cache.save(path);
+  cache.save_store(dir);
 
   ProfileCache loaded;
-  ASSERT_TRUE(loaded.load_if_exists(path));
+  ASSERT_TRUE(loaded.load_store_if_exists(dir));
   EXPECT_EQ(loaded.size(), 2u);
   const AppProfile qa = loaded.solo(cfg, a);
   EXPECT_EQ(loaded.misses(), 0u) << "loaded entry must serve the lookup";
   EXPECT_EQ(loaded.hits(), 1u);
   expect_same_measurement(pa, qa);
   EXPECT_EQ(pa.cls, qa.cls);
-  std::remove(path.c_str());
+  fs::remove_all(dir);
 }
 
 TEST(ProfileCacheTest, HashInKernelNameRoundTrips) {
   const sim::GpuConfig cfg = small_gpu();
   auto kp = kernel("attn#1", 0.1, 9);
-  const std::string path = "/tmp/gpumas_profile_cache_hash.txt";
+  const std::string dir = store_dir("hash");
 
   ProfileCache cache;
   const AppProfile saved = cache.solo(cfg, kp);
-  cache.save(path);
+  cache.save_store(dir);
 
   ProfileCache loaded;
-  loaded.load(path);
+  ASSERT_TRUE(loaded.load_store_if_exists(dir));
+  EXPECT_EQ(loaded.quarantine_stats().total(), 0u);
   const AppProfile back = loaded.solo(cfg, kp);
   EXPECT_EQ(loaded.misses(), 0u);
   EXPECT_EQ(back.name, "attn#1") << "'#' must not start a comment mid-name";
   expect_same_measurement(saved, back);
-  std::remove(path.c_str());
+  fs::remove_all(dir);
 }
 
 TEST(ProfileCacheTest, LoadRejectsTruncatedEntries) {
-  const std::string path = "/tmp/gpumas_profile_cache_trunc.txt";
-  {
-    std::ofstream out(path);
-    out << "[profile]\nconfig = 7\nkernel = 9\nsms = 20\n";  // cut short
-  }
-  ProfileCache cache;
-  EXPECT_THROW(cache.load(path), std::logic_error);
-  std::remove(path.c_str());
+  const std::string dir = store_dir("trunc");
+  const auto cache = load_member(
+      dir, "profiles.txt", "[profile]\nconfig = 7\nkernel = 9\nsms = 20\n");
+  EXPECT_EQ(cache->quarantine_stats().profiles, 1u);
+  EXPECT_EQ(cache->size(), 0u);
+  fs::remove_all(dir);
 }
 
 TEST(ProfileCacheTest, LoadMissingFile) {
   ProfileCache cache;
-  EXPECT_FALSE(cache.load_if_exists("/nonexistent/cache.txt"));
-  EXPECT_THROW(cache.load("/nonexistent/cache.txt"), std::logic_error);
+  EXPECT_FALSE(cache.load_store_if_exists("/nonexistent/store"));
+  // A store directory without member files is an empty store.
+  const std::string dir = store_dir("empty");
+  fs::create_directories(dir);
+  EXPECT_TRUE(cache.load_store_if_exists(dir));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.quarantine_stats().total(), 0u);
+  fs::remove_all(dir);
 }
 
 TEST(ProfileCacheTest, AccuracyPartitionsSoloEntries) {
@@ -270,7 +312,7 @@ TEST(ProfileCacheTest, AccuracyPartitionsSoloEntries) {
   // one fidelity must never serve the other — a sampled profile standing
   // in for a detailed one (or vice versa) would silently change every
   // downstream classification and model fit.
-  const std::string path = "/tmp/gpumas_profile_cache_acc.txt";
+  const std::string dir = store_dir("acc");
   const sim::GpuConfig detailed = small_gpu();
   sim::GpuConfig sampled = small_gpu();
   sampled.sim_mode = sim::SimMode::kSampled;
@@ -280,36 +322,35 @@ TEST(ProfileCacheTest, AccuracyPartitionsSoloEntries) {
 
   ProfileCache cache;
   cache.solo(detailed, kp);
-  cache.save(path);
+  cache.save_store(dir);
 
   ProfileCache warm;
-  warm.load(path);
+  ASSERT_TRUE(warm.load_store_if_exists(dir));
   warm.solo(sampled, kp);
   EXPECT_EQ(warm.hits(), 0u) << "detailed-warm store served a sampled lookup";
   EXPECT_EQ(warm.misses(), 1u);
   warm.solo(detailed, kp);
   EXPECT_EQ(warm.hits(), 1u);
 
+  fs::remove_all(dir);
   ProfileCache cache2;
   cache2.solo(sampled, kp);
-  cache2.save(path);
+  cache2.save_store(dir);
   ProfileCache warm2;
-  warm2.load(path);
+  ASSERT_TRUE(warm2.load_store_if_exists(dir));
   warm2.solo(detailed, kp);
   EXPECT_EQ(warm2.hits(), 0u) << "sampled-warm store served a detailed lookup";
   EXPECT_EQ(warm2.misses(), 1u);
-  std::remove(path.c_str());
+  fs::remove_all(dir);
 }
 
 TEST(ProfileCacheTest, LoadRejectsMalformedEntries) {
-  const std::string path = "/tmp/gpumas_profile_cache_bad.txt";
-  {
-    std::ofstream out(path);
-    out << "[profile]\nconfig = notanumber\n";
-  }
-  ProfileCache cache;
-  EXPECT_THROW(cache.load(path), std::logic_error);
-  std::remove(path.c_str());
+  const std::string dir = store_dir("bad");
+  const auto cache =
+      load_member(dir, "profiles.txt", "[profile]\nconfig = notanumber\n");
+  EXPECT_EQ(cache->quarantine_stats().profiles, 1u);
+  EXPECT_EQ(cache->size(), 0u);
+  fs::remove_all(dir);
 }
 
 // --- slowdown models through the artifact store ---
@@ -359,17 +400,17 @@ TEST(ProfileCacheModelTest, ModelMemoizedOncePerKey) {
 }
 
 TEST(ProfileCacheModelTest, DiskRoundTripServesWarmLoadsWithoutMeasuring) {
-  const std::string path = "/tmp/gpumas_model_cache_test.txt";
+  const std::string dir = store_dir("model");
   ProfileCache cache;
   ModelFixture f(cache);
   const auto measured =
       cache.model(f.cfg, f.kernels, f.profiles, /*max_samples_per_cell=*/0,
                   /*with_triples=*/true);
   ASSERT_GT(measured->multi_entries(), 0u);
-  cache.save_models(path);
+  cache.save_store(dir);
 
   ProfileCache warm;
-  ASSERT_TRUE(warm.load_models_if_exists(path));
+  ASSERT_TRUE(warm.load_store_if_exists(dir));
   EXPECT_EQ(warm.model_count(), 1u);
   const auto loaded =
       warm.model(f.cfg, f.kernels, f.profiles, 0, /*with_triples=*/true);
@@ -378,25 +419,20 @@ TEST(ProfileCacheModelTest, DiskRoundTripServesWarmLoadsWithoutMeasuring) {
   EXPECT_EQ(warm.model_hits(), 1u);
   // The loaded artifact is bit-identical to the measured one.
   EXPECT_EQ(loaded->to_string(), measured->to_string());
-  std::remove(path.c_str());
+  fs::remove_all(dir);
 }
 
 TEST(ProfileCacheModelTest, CorruptAndPartialModelFilesRejected) {
-  const std::string path = "/tmp/gpumas_model_cache_bad.txt";
-  {
-    std::ofstream out(path);
-    out << "[model]\nconfig = 7\nsuite = 9\nsamples_per_cell = 0\n"
-        << "triples = 0\npair_M_M = 2\n";  // matrix cut short
+  const std::string dir = store_dir("model_bad");
+  for (const char* text :
+       {"[model]\nconfig = 7\nsuite = 9\nsamples_per_cell = 0\n"
+        "triples = 0\naccuracy = detailed\npair_M_M = 2\n",  // matrix cut
+        "[model]\nconfig = notanumber\n"}) {
+    const auto cache = load_member(dir, "models.txt", text);
+    EXPECT_EQ(cache->quarantine_stats().models, 1u) << text;
+    EXPECT_EQ(cache->model_count(), 0u) << text;
   }
-  ProfileCache cache;
-  EXPECT_THROW(cache.load_models(path), std::logic_error);
-  {
-    std::ofstream out(path);
-    out << "[model]\nconfig = notanumber\n";
-  }
-  EXPECT_THROW(cache.load_models(path), std::logic_error);
-  EXPECT_EQ(cache.model_count(), 0u);
-  std::remove(path.c_str());
+  fs::remove_all(dir);
 }
 
 TEST(ProfileCacheModelTest, StoreDirectoryRoundTrip) {
@@ -518,7 +554,7 @@ TEST(GroupCacheTest, GroupRunMemoizesPermutedCallers) {
 }
 
 TEST(GroupCacheTest, DiskRoundTripServesWarmRunsWithoutSimulating) {
-  const std::string path = "/tmp/gpumas_group_cache_test.txt";
+  const std::string dir = store_dir("group");
   const sim::GpuConfig cfg = small_gpu();
   // A hostile name exercises the %-escaping of the comma-joined list.
   const auto a = kernel("a space,comma%pct", 0.05, 1);
@@ -527,10 +563,10 @@ TEST(GroupCacheTest, DiskRoundTripServesWarmRunsWithoutSimulating) {
   ProfileCache cache;
   const auto canon = canonicalize_group(cfg, {a, b}, {}, "static");
   const GroupRunRecord measured = cache.group_run(cfg, canon);
-  cache.save_groups(path);
+  cache.save_store(dir);
 
   ProfileCache warm;
-  ASSERT_TRUE(warm.load_groups_if_exists(path));
+  ASSERT_TRUE(warm.load_store_if_exists(dir));
   EXPECT_EQ(warm.group_count(), 1u);
   const GroupRunRecord loaded = warm.group_run(cfg, canon);
   EXPECT_EQ(warm.group_misses(), 0u)
@@ -538,82 +574,76 @@ TEST(GroupCacheTest, DiskRoundTripServesWarmRunsWithoutSimulating) {
   EXPECT_EQ(warm.group_hits(), 1u);
   expect_same_record(measured, loaded);
   EXPECT_EQ(loaded.names[canon.perm[0] == 0 ? 0 : 1], "a space,comma%pct");
-  std::remove(path.c_str());
+  fs::remove_all(dir);
 }
 
 TEST(GroupCacheTest, EmptyKernelNameRoundTrips) {
   // A default-constructed KernelParams has an empty name; its group entry
   // renders `names = ` (escape of "" is ""), which the loader must accept
-  // rather than rejecting the whole store as corrupt.
-  const std::string path = "/tmp/gpumas_group_cache_empty_name.txt";
+  // rather than quarantining the entry as corrupt.
+  const std::string dir = store_dir("group_empty_name");
   const sim::GpuConfig cfg = small_gpu();
   auto anon = kernel("", 0.1, 5);
 
   ProfileCache cache;
   const auto canon = canonicalize_group(cfg, {anon}, {}, "static");
   const GroupRunRecord measured = cache.group_run(cfg, canon);
-  cache.save_groups(path);
+  cache.save_store(dir);
 
   ProfileCache warm;
-  warm.load_groups(path);
+  ASSERT_TRUE(warm.load_store_if_exists(dir));
+  EXPECT_EQ(warm.quarantine_stats().total(), 0u);
   EXPECT_EQ(warm.group_count(), 1u);
   const GroupRunRecord loaded = warm.group_run(cfg, canon);
   EXPECT_EQ(warm.group_misses(), 0u);
   expect_same_record(measured, loaded);
   EXPECT_EQ(loaded.names, std::vector<std::string>{""});
-  std::remove(path.c_str());
+  fs::remove_all(dir);
+}
+
+// Each text is one corrupt group entry: loading it quarantines exactly
+// that entry and installs nothing.
+void expect_group_quarantined(const std::vector<std::string>& texts) {
+  const std::string dir = store_dir("group_bad");
+  for (const auto& text : texts) {
+    const auto cache = load_member(dir, "groups.txt", text);
+    EXPECT_EQ(cache->quarantine_stats().groups, 1u) << text;
+    EXPECT_EQ(cache->group_count(), 0u) << text;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(GroupCacheTest, LoadRejectsCorruptGroupFiles) {
-  const std::string path = "/tmp/gpumas_group_cache_bad.txt";
-  const auto write = [&](const std::string& text) {
-    std::ofstream out(path);
-    out << text;
-  };
-  ProfileCache cache;
-  // Truncated entry.
-  write("[group]\nconfig = 7\ngroup = 9\napps = 2\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  // List length disagrees with apps.
-  write(
+  expect_group_quarantined({
+      // Truncated entry.
+      "[group]\nconfig = 7\ngroup = 9\napps = 2\n",
+      // List length disagrees with apps.
       "[group]\nconfig = 7\ngroup = 9\napps = 2\nnames = a,b\n"
       "app_cycles = 10\napp_insns = 5,6\ncycles = 10\n"
-      "smra_adjustments = 0\nsmra_reverts = 0\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  // Malformed number.
-  write("[group]\nconfig = banana\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  // Negative and trailing-garbage numbers (istream would wrap/truncate).
-  write("[group]\nconfig = 7\ngroup = -9\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  write(
+      "smra_adjustments = 0\nsmra_reverts = 0\n",
+      // Malformed number.
+      "[group]\nconfig = banana\n",
+      // Negative and trailing-garbage numbers (istream would wrap/truncate).
+      "[group]\nconfig = 7\ngroup = -9\n",
       "[group]\nconfig = 7\ngroup = 9\napps = 1\nnames = a\n"
       "app_cycles = -10\napp_insns = 5\ncycles = 10\n"
-      "smra_adjustments = 0\nsmra_reverts = 0\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  write(
+      "smra_adjustments = 0\nsmra_reverts = 0\n",
       "[group]\nconfig = 7\ngroup = 9\napps = 1\nnames = a\n"
       "app_cycles = 10\napp_insns = 5\ncycles = 10abc\n"
-      "smra_adjustments = 0\nsmra_reverts = 0\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  // Unknown key.
-  write("[group]\nconfig = 7\nmystery = 1\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  // Duplicate key.
-  write("[group]\nconfig = 7\nconfig = 8\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  // Malformed %-escape in a name.
-  write(
+      "smra_adjustments = 0\nsmra_reverts = 0\n",
+      // Unknown key.
+      "[group]\nconfig = 7\nmystery = 1\n",
+      // Duplicate key.
+      "[group]\nconfig = 7\nconfig = 8\n",
+      // Malformed %-escape in a name.
       "[group]\nconfig = 7\ngroup = 9\napps = 1\nnames = a%zz\n"
       "app_cycles = 10\napp_insns = 5\ncycles = 10\n"
-      "smra_adjustments = 0\nsmra_reverts = 0\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  EXPECT_EQ(cache.group_count(), 0u);
-  std::remove(path.c_str());
+      "smra_adjustments = 0\nsmra_reverts = 0\n",
+  });
 }
 
 TEST(GroupCacheTest, SampledGroupRunRoundTrips) {
-  const std::string path = "/tmp/gpumas_group_cache_sampled.txt";
+  const std::string dir = store_dir("group_sampled");
   sim::GpuConfig cfg = small_gpu();
   cfg.sim_mode = sim::SimMode::kSampled;
   cfg.sample_detail_cycles = 200;
@@ -629,10 +659,10 @@ TEST(GroupCacheTest, SampledGroupRunRoundTrips) {
   EXPECT_GT(measured.skipped_cycles, 0u);
   EXPECT_EQ(measured.ticked_cycles + measured.skipped_cycles,
             measured.group_cycles);
-  cache.save_groups(path);
+  cache.save_store(dir);
 
   ProfileCache warm;
-  warm.load_groups(path);
+  ASSERT_TRUE(warm.load_store_if_exists(dir));
   const GroupRunRecord loaded = warm.group_run(cfg, canon);
   EXPECT_EQ(warm.group_misses(), 0u)
       << "a sampled record must serve a sampled lookup without simulating";
@@ -643,36 +673,26 @@ TEST(GroupCacheTest, SampledGroupRunRoundTrips) {
   // record must not stand in for it.
   const sim::GpuConfig det = small_gpu();
   ProfileCache warm2;
-  warm2.load_groups(path);
+  ASSERT_TRUE(warm2.load_store_if_exists(dir));
   warm2.group_run(det, canonicalize_group(det, {a, b}, {}, "static"));
   EXPECT_EQ(warm2.group_misses(), 1u)
       << "sampled-warm store served a detailed group run";
-  std::remove(path.c_str());
+  fs::remove_all(dir);
 }
 
 TEST(GroupCacheTest, LoadRejectsUnknownOrMissingAccuracy) {
-  const std::string path = "/tmp/gpumas_group_cache_acc.txt";
-  const auto write = [&](const std::string& text) {
-    std::ofstream out(path);
-    out << text;
-  };
-  ProfileCache cache;
-  // A full entry whose accuracy tag names no known fidelity.
-  write(
+  expect_group_quarantined({
+      // A full entry whose accuracy tag names no known fidelity.
       "[group]\nconfig = 7\ngroup = 9\naccuracy = bogus\napps = 1\n"
       "names = a\napp_cycles = 10\napp_insns = 5\ncycles = 10\n"
       "ticked_cycles = 10\nskipped_cycles = 0\nsample_windows = 0\n"
-      "smra_adjustments = 0\nsmra_reverts = 0\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  // A pre-sampling store without the accuracy/accounting keys: its
-  // fidelity is unknowable, so it must be re-measured, not guessed at.
-  write(
+      "smra_adjustments = 0\nsmra_reverts = 0\n",
+      // A pre-sampling store without the accuracy/accounting keys: its
+      // fidelity is unknowable, so it must be re-measured, not guessed at.
       "[group]\nconfig = 7\ngroup = 9\napps = 1\nnames = a\n"
       "app_cycles = 10\napp_insns = 5\ncycles = 10\n"
-      "smra_adjustments = 0\nsmra_reverts = 0\n");
-  EXPECT_THROW(cache.load_groups(path), std::logic_error);
-  EXPECT_EQ(cache.group_count(), 0u);
-  std::remove(path.c_str());
+      "smra_adjustments = 0\nsmra_reverts = 0\n",
+  });
 }
 
 TEST(GroupCacheTest, ConcurrentGroupRequestsSimulateEachKeyOnce) {
@@ -710,6 +730,213 @@ TEST(GroupCacheTest, ConcurrentGroupRequestsSimulateEachKeyOnce) {
   for (int t = 2; t < kThreads; t += 2) {
     expect_same_record(results[0], results[t]);
   }
+}
+
+// --- strict parsing, failed entries and mutated stores ---
+
+// A saved three-layer store (three profiles, one model with triples and
+// its group runs) and its per-layer entry counts.
+struct SavedStore {
+  std::string dir;
+  size_t profiles = 0;
+  size_t models = 0;
+  size_t groups = 0;
+
+  explicit SavedStore(const std::string& name) : dir(store_dir(name)) {
+    ProfileCache cache;
+    ModelFixture f(cache);
+    cache.model(f.cfg, f.kernels, f.profiles, 0, /*with_triples=*/true);
+    cache.save_store(dir);
+    profiles = cache.size();
+    models = cache.model_count();
+    groups = cache.group_count();
+  }
+  ~SavedStore() { fs::remove_all(dir); }
+};
+
+const char* const kMembers[] = {"profiles.txt", "models.txt", "groups.txt"};
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const auto& line : lines) text += line + "\n";
+  return text;
+}
+
+TEST(StoreParsingTest, EveryLayerQuarantinesNonStrictFields) {
+  const SavedStore base("strict_base");
+  const std::string dir = store_dir("strict");
+  // Each mutant edits the first `key = value` line of one member file:
+  // appends to the value, replaces it, or repeats the key on a new line
+  // right after it.
+  enum Edit { kAppend, kReplace, kRepeat };
+  struct Mutant {
+    const char* file = nullptr;
+    const char* key = nullptr;
+    Edit edit = kReplace;
+    const char* text = nullptr;
+  };
+  const Mutant mutants[] = {
+      {"profiles.txt", "config", kAppend, "abc"},
+      {"profiles.txt", "ipc", kAppend, "xyz"},
+      {"profiles.txt", "sms", kReplace, "-3"},
+      {"profiles.txt", "sms", kReplace, "0"},
+      {"profiles.txt", "solo_cycles", kReplace, "-5"},
+      {"profiles.txt", "ipc", kRepeat, "1"},
+      {"models.txt", "samples_per_cell", kReplace, "-1"},
+      // A second `triples = 1` would otherwise flip the model's key.
+      {"models.txt", "triples", kRepeat, "1"},
+      {"models.txt", "config", kReplace, "9abc"},
+      {"models.txt", "pair_M_M", kAppend, "x"},
+  };
+  for (const Mutant& m : mutants) {
+    fs::remove_all(dir);
+    fs::copy(base.dir, dir, fs::copy_options::recursive);
+    auto lines = split_lines(read_file(dir + "/" + m.file));
+    const std::string prefix = std::string(m.key) + " = ";
+    const auto it = std::find_if(lines.begin(), lines.end(), [&](auto& l) {
+      return l.rfind(prefix, 0) == 0;
+    });
+    ASSERT_NE(it, lines.end()) << m.key;
+    const std::string mutated =
+        m.edit == kAppend ? *it + m.text : prefix + m.text;
+    if (m.edit == kRepeat) {
+      lines.insert(it + 1, mutated);
+    } else {
+      *it = mutated;
+    }
+    write_file(dir + "/" + m.file, join_lines(lines));
+
+    ProfileCache cache;
+    ASSERT_TRUE(cache.load_store_if_exists(dir));
+    const bool profile = std::string(m.file) == "profiles.txt";
+    EXPECT_EQ(cache.quarantine_stats().total(), 1u) << mutated;
+    EXPECT_EQ(cache.size(), base.profiles - (profile ? 1 : 0)) << mutated;
+    EXPECT_EQ(cache.model_count(), base.models - (profile ? 0 : 1))
+        << mutated;
+    EXPECT_EQ(cache.group_count(), base.groups) << mutated;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(StoreMergeTest, MergeSkipsAFailedResidentEntry) {
+  const sim::GpuConfig cfg = small_gpu();
+  const auto canon = canonicalize_group(
+      cfg, {kernel("a", 0.05, 1), kernel("b", 0.3, 2)}, {}, "static");
+  const std::string dir = store_dir("merge_failed");
+  {
+    ProfileCache healthy;
+    healthy.group_run(cfg, canon);
+    healthy.save_store(dir);
+  }
+
+  ProfileCache cache;
+  const GroupSimulator broken = [](const sim::GpuConfig&,
+                                   const std::vector<sim::KernelParams>&,
+                                   const std::vector<int>&) -> GroupRunRecord {
+    throw std::runtime_error("simulator failed");
+  };
+  EXPECT_THROW(cache.group_run(cfg, canon, broken), std::runtime_error);
+  // The failed resident entry cannot be compared: merge, save and the
+  // lifecycle accounting all skip it instead of rethrowing.
+  EXPECT_EQ(cache.merge_store(dir), 0u);
+  EXPECT_EQ(cache.quarantine_stats().total(), 0u);
+  EXPECT_EQ(cache.group_count(), 1u);
+  EXPECT_EQ(cache.lifecycle_stats().group_live_bytes, 0u);
+  const std::string out = store_dir("merge_failed_out");
+  cache.save_store(out);
+  ProfileCache reloaded;
+  ASSERT_TRUE(reloaded.load_store_if_exists(out));
+  EXPECT_EQ(reloaded.group_count(), 0u) << "a failed entry was persisted";
+  fs::remove_all(dir);
+  fs::remove_all(out);
+}
+
+// Seeded mutations of a rendered three-layer store (byte flips, deleted
+// and duplicated lines). Every load must salvage without crashing, and the
+// store it saves must be clean and stable: reloading it quarantines
+// nothing, and saving that reload reproduces the same bytes (the group
+// file's generation stamp aside, since every load advances it).
+TEST(StoreFuzzTest, SeededMutationsQuarantineOrRoundTrip) {
+  const SavedStore base("fuzz_base");
+  std::vector<std::string> members;
+  for (const char* file : kMembers) {
+    members.push_back(read_file(base.dir + "/" + file));
+  }
+  const std::string dir = store_dir("fuzz");
+  const std::string first = store_dir("fuzz_first");
+  const std::string second = store_dir("fuzz_second");
+  const auto snapshot = [](const std::string& d) {
+    std::string all;
+    for (const char* file : kMembers) {
+      for (const auto& line : split_lines(read_file(d + "/" + file))) {
+        if (line.rfind("# generation = ", 0) != 0) all += line + "\n";
+      }
+    }
+    return all;
+  };
+
+  Prng rng(0x5eedf022);
+  constexpr int kIterations = 200;
+  size_t salvaged = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    const size_t target = rng.next_below(3);
+    auto lines = split_lines(members[target]);
+    // Mutate entry lines only: the preamble comments are schema metadata,
+    // whose mismatch rejects the whole store by design.
+    std::vector<size_t> candidates;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (!lines[i].empty() && lines[i][0] != '#') candidates.push_back(i);
+    }
+    ASSERT_FALSE(candidates.empty());
+    const size_t at = candidates[rng.next_below(candidates.size())];
+    switch (rng.next_below(3)) {
+      case 0: {
+        std::string& line = lines[at];
+        const size_t byte = rng.next_below(line.size());
+        line[byte] = static_cast<char>(line[byte] ^ (1 + rng.next_below(255)));
+        break;
+      }
+      case 1:
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+        break;
+      default:
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                     lines[at]);
+        break;
+    }
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    for (size_t f = 0; f < members.size(); ++f) {
+      write_file(dir + "/" + kMembers[f],
+                 f == target ? join_lines(lines) : members[f]);
+    }
+    SCOPED_TRACE("iteration " + std::to_string(iter) + ", " +
+                 kMembers[target] + " line " + std::to_string(at));
+
+    ProfileCache mutated;
+    ASSERT_NO_THROW(mutated.load_store_if_exists(dir));
+    if (mutated.quarantine_stats().total() > 0) ++salvaged;
+    fs::remove_all(first);
+    mutated.save_store(first);
+    ProfileCache reloaded;
+    ASSERT_TRUE(reloaded.load_store_if_exists(first));
+    EXPECT_EQ(reloaded.quarantine_stats().total(), 0u);
+    fs::remove_all(second);
+    reloaded.save_store(second);
+    ASSERT_EQ(snapshot(first), snapshot(second));
+  }
+  // The mutations must actually hit the parsers, not only benign bytes.
+  EXPECT_GT(salvaged, kIterations / 4);
+  fs::remove_all(dir);
+  fs::remove_all(first);
+  fs::remove_all(second);
 }
 
 }  // namespace

@@ -510,5 +510,18 @@ TEST(HarnessResumeTest, DumpIoFailureExitsNonzero) {
       << "the journal is the surviving copy of the records";
 }
 
+TEST(HarnessStoreTest, ProfileCacheFileExitsTwo) {
+  // The artifact store is a directory; a regular file is a user error,
+  // refused before anything is read or written.
+  const std::string dir = test_dir("store_file");
+  const std::string file = dir + "/profiles.txt";
+  common::atomic_write_file(file, "# gpumas profile cache v2\n");
+  EXPECT_EXIT(run_bench({"--threads", "1", "--profile-cache", file},
+                        tiny_batch()),
+              ::testing::ExitedWithCode(2),
+              "must name the artifact store directory");
+  EXPECT_EQ(read_file(file), "# gpumas profile cache v2\n");
+}
+
 }  // namespace
 }  // namespace gpumas
