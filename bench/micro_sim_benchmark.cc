@@ -294,6 +294,15 @@ int main(int argc, char** argv) {
     s.kernels = {workloads::benchmark("HS"), workloads::benchmark("GUPS")};
     scenarios.push_back(s);
   }
+  {
+    // BLK alone on all 60 SMs keeps every slice's L2 MSHRs saturated: the
+    // case the L2 admission memo targets (each refused head is probed once
+    // on the fast path, every cycle on the reference loop).
+    Scenario s;
+    s.name = "suite_solo_BLK";
+    s.kernels = {workloads::benchmark("BLK")};
+    scenarios.push_back(s);
+  }
 
   bool identity_ok = true;
   std::vector<Row> rows;

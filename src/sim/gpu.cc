@@ -131,16 +131,30 @@ bool Gpu::try_send(const MemRequest& req, uint64_t cycle) {
 }
 
 // Tries to accept the head packet of virtual queue `src`; returns true on
-// acceptance (the packet was consumed).
-bool Gpu::accept_from_vq(L2Slice& slice, int src) {
-  std::deque<IcntPacket>& q = slice.vq[static_cast<size_t>(src)];
+// acceptance (the packet was consumed). `miss_room` / `store_room` say
+// whether the slice can take a new miss / a write-through this cycle.
+bool Gpu::accept_from_vq(L2Slice& slice, int src, bool miss_room,
+                         bool store_room) {
+  const size_t s = static_cast<size_t>(src);
+  std::deque<IcntPacket>& q = slice.vq[s];
   if (q.front().ready_cycle > cycle_) return false;
   const MemRequest req = q.front().req;
+  // Verdicts are remembered only on the fast path; --no-skip re-probes
+  // every ready head every cycle, which makes it the memo's oracle.
+  const bool memo = cfg_.skip_idle_cycles;
+  const bool remembered_miss = slice.miss_blocked.test(s);
+  if (!remembered_miss) ++slice.head_probes;
   bool processed = false;
-  if (req.is_store) {
+  if (remembered_miss) {
+    // A miss with no MSHR entry for its line. The scan skips such heads
+    // while miss room is lacking, so there is room now, and the lookups
+    // would only repeat the verdict.
+    admit_miss(slice, req);
+    processed = true;
+  } else if (req.is_store) {
     // Write-through: update the L2 copy if present (no timing effect) and
     // queue the write toward DRAM, where it competes for banks and bus.
-    if (slice.miss_queue.size() < kMissQueueCapacity) {
+    if (store_room) {
       if (slice.cache.contains(req.line)) slice.cache.fill(req.line);
       stats_[req.app].l2_accesses++;
       stats_[req.app].dram_transactions++;
@@ -150,6 +164,8 @@ bool Gpu::accept_from_vq(L2Slice& slice, int src) {
       slice.miss_queue.push_back(
           DramRequest{req.line, bank, row, req.app, cycle_, true});
       processed = true;
+    } else if (memo) {
+      slice.store_blocked.set(s);
     }
   } else if (L2MshrEntry* pending = slice.mshr.find(req.line)) {
     // Merge with the in-flight DRAM fetch of the same line.
@@ -163,22 +179,17 @@ bool Gpu::accept_from_vq(L2Slice& slice, int src) {
                  cycle_ + static_cast<uint64_t>(cfg_.l2_latency +
                                                 cfg_.icnt_latency));
     processed = true;
-  } else if (slice.mshr.size() < cfg_.l2.mshr_entries &&
-             slice.miss_queue.size() < kMissQueueCapacity) {
-    stats_[req.app].l2_accesses++;
-    stats_[req.app].dram_transactions++;
-    slice.waiters.append(slice.mshr.emplace(req.line).waiters,
-                         L2Waiter{req.sm, req.app});
-    uint32_t bank = 0;
-    uint64_t row = 0;
-    decompose(req.line, bank, row);
-    slice.miss_queue.push_back(
-        DramRequest{req.line, bank, row, req.app, cycle_});
+  } else if (miss_room) {
+    admit_miss(slice, req);
     processed = true;
+  } else if (memo) {
+    slice.miss_blocked.set(s);
   }
   if (processed) {
     q.pop_front();
-    if (q.empty()) slice.vq_mask.clear(static_cast<size_t>(src));
+    slice.miss_blocked.clear(s);
+    slice.store_blocked.clear(s);
+    if (q.empty()) slice.vq_mask.clear(s);
     slice.rr = (src + 1) % cfg_.num_sms;
     // The freed slot may unblock src's LSU head, which sleeps after a
     // backpressure refusal (see StreamingMultiprocessor::post_tick_wake).
@@ -188,6 +199,27 @@ bool Gpu::accept_from_vq(L2Slice& slice, int src) {
     }
   }
   return processed;
+}
+
+// Allocates an MSHR entry for a load that missed L2 and queues its fetch
+// toward DRAM. Remembered misses on the same line now have an entry to
+// merge onto, so their verdicts are dropped.
+void Gpu::admit_miss(L2Slice& slice, const MemRequest& req) {
+  stats_[req.app].l2_accesses++;
+  stats_[req.app].dram_transactions++;
+  slice.waiters.append(slice.mshr.emplace(req.line).waiters,
+                       L2Waiter{req.sm, req.app});
+  uint32_t bank = 0;
+  uint64_t row = 0;
+  decompose(req.line, bank, row);
+  slice.miss_queue.push_back(
+      DramRequest{req.line, bank, row, req.app, cycle_});
+  for (int j = slice.miss_blocked.find_at_or_after(0); j >= 0;
+       j = slice.miss_blocked.find_at_or_after(static_cast<size_t>(j) + 1)) {
+    if (slice.vq[static_cast<size_t>(j)].front().req.line == req.line) {
+      slice.miss_blocked.clear(static_cast<size_t>(j));
+    }
+  }
 }
 
 bool Gpu::tick_l2_slice(L2Slice& slice) {
@@ -221,24 +253,35 @@ bool Gpu::tick_l2_slice(L2Slice& slice) {
   // 2. Accept at most one request per cycle from the interconnect,
   // arbitrating round-robin across the non-empty per-SM virtual queues. A
   // head blocked on full L2 MSHRs or a full miss queue does not stall
-  // other sources (hit-under-miss across queues). The bitset restricts
+  // other sources (hit-under-miss across queues). The bitsets restrict
   // probing to non-empty queues, in the same circular order the full scan
-  // used.
+  // used, and — while the slice lacks the room they wait for — skip the
+  // heads the admission memo already saw refused, so each such head is
+  // probed once rather than every cycle. Room cannot change during the
+  // scan: nothing is accepted before the scan stops.
   if (vq_work) {
+    const bool store_room = slice.miss_queue.size() < kMissQueueCapacity;
+    const bool miss_room =
+        store_room && slice.mshr.size() < cfg_.l2.mshr_entries;
+    const auto next = [&](size_t i) {
+      if (miss_room) return slice.vq_mask.find_at_or_after(i);
+      return slice.vq_mask.find_at_or_after_excluding(
+          i, slice.miss_blocked,
+          store_room ? slice.miss_blocked : slice.store_blocked);
+    };
     bool accepted = false;
-    for (int src = slice.vq_mask.find_at_or_after(static_cast<size_t>(slice.rr));
-         src >= 0;
-         src = slice.vq_mask.find_at_or_after(static_cast<size_t>(src) + 1)) {
-      if (accept_from_vq(slice, src)) {
+    for (int src = next(static_cast<size_t>(slice.rr)); src >= 0;
+         src = next(static_cast<size_t>(src) + 1)) {
+      if (accept_from_vq(slice, src, miss_room, store_room)) {
         accepted = true;
         break;
       }
     }
     if (!accepted) {
       const int wrap = slice.rr;
-      for (int src = slice.vq_mask.find_at_or_after(0); src >= 0 && src < wrap;
-           src = slice.vq_mask.find_at_or_after(static_cast<size_t>(src) + 1)) {
-        if (accept_from_vq(slice, src)) {
+      for (int src = next(0); src >= 0 && src < wrap;
+           src = next(static_cast<size_t>(src) + 1)) {
+        if (accept_from_vq(slice, src, miss_room, store_room)) {
           accepted = true;
           break;
         }
@@ -735,6 +778,12 @@ uint64_t Gpu::dram_row_hits() const {
 uint64_t Gpu::dram_row_misses() const {
   uint64_t v = 0;
   for (const auto& s : slices_) v += s.dram.row_misses();
+  return v;
+}
+
+uint64_t Gpu::l2_head_probes() const {
+  uint64_t v = 0;
+  for (const auto& s : slices_) v += s.head_probes;
   return v;
 }
 

@@ -123,6 +123,12 @@ class Gpu final : public MemoryFabric {
   // Diagnostics (tests / benches).
   uint64_t dram_row_hits() const;
   uint64_t dram_row_misses() const;
+  // Ready interconnect heads whose admission the L2 slices evaluated (room
+  // check, MSHR lookup, tag probe); heads the admission memo skipped or
+  // admitted from a remembered verdict are not counted. Not part of
+  // AppStats: the memo is off under --no-skip, so this count differs
+  // between the two loops while every simulated result stays identical.
+  uint64_t l2_head_probes() const;
 
  private:
   struct IcntPacket {
@@ -147,6 +153,19 @@ class Gpu final : public MemoryFabric {
     std::vector<std::deque<IcntPacket>> vq;
     DynBitset vq_mask;
     int rr = 0;  // round-robin arbitration pointer
+    // Admission memo (skip_idle_cycles only): ready heads refused for lack
+    // of room, so arbitration probes each head once instead of every
+    // cycle. miss_blocked: a load that missed L2 with no MSHR entry for its
+    // line; store_blocked: a store. A verdict holds until the head is
+    // popped or, for miss_blocked, an MSHR entry for its line is emplaced —
+    // an L2 miss turns into a hit only through such an entry, because L2
+    // fills come only from DRAM completions of MSHR'd lines and a store
+    // write-through only refreshes a line already present. While the
+    // slice lacks room the scan skips these heads; once room exists a
+    // miss_blocked head goes straight to the miss path.
+    DynBitset miss_blocked;
+    DynBitset store_blocked;
+    uint64_t head_probes = 0;  // see Gpu::l2_head_probes
     // Accepted misses (and write-throughs) waiting for DRAM-queue space.
     // Keeping them out of the acceptance path means a saturated memory
     // controller does not head-of-line-block lookups that would hit.
@@ -158,6 +177,8 @@ class Gpu final : public MemoryFabric {
           mshr(cfg.l2.mshr_entries),
           vq(static_cast<size_t>(cfg.num_sms)),
           vq_mask(static_cast<size_t>(cfg.num_sms)),
+          miss_blocked(static_cast<size_t>(cfg.num_sms)),
+          store_blocked(static_cast<size_t>(cfg.num_sms)),
           dram(cfg, index) {}
   };
 
@@ -166,7 +187,9 @@ class Gpu final : public MemoryFabric {
   }
   void decompose(uint64_t line, uint32_t& bank, uint64_t& row) const;
   bool tick_l2_slice(L2Slice& slice);
-  bool accept_from_vq(L2Slice& slice, int src);
+  bool accept_from_vq(L2Slice& slice, int src, bool miss_room,
+                      bool store_room);
+  void admit_miss(L2Slice& slice, const MemRequest& req);
   uint64_t slice_next_wake(const L2Slice& slice, uint64_t cycle) const;
   void check_app_completion();
   void fast_forward();

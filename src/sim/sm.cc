@@ -448,8 +448,10 @@ bool StreamingMultiprocessor::lsu_tick(uint64_t cycle, MemoryFabric& fabric,
   }
   if (l1_mshr_.size() >= l1_mshr_entries_) {
     // Structural stall: retry this transaction next cycle. AppStats counts
-    // the access only once the miss is accepted; the Cache-internal probe
-    // counters may see retries, which is why profiling reads AppStats.
+    // the access only once the miss is accepted; the L1's Cache-internal
+    // probe counters may see retries, which is why profiling reads
+    // AppStats. (The L2 slices' caches see no re-probes on the fast path:
+    // a refused L2 head's verdict is remembered, see Gpu::L2Slice.)
     return false;
   }
   if (!fabric.try_send(

@@ -223,6 +223,63 @@ TEST(FastPathTest, SmraControlLoopIsByteIdentical) {
   EXPECT_EQ(adjustments[0], adjustments[1]);
 }
 
+// The L2 admission memo: a ready head refused for lack of MSHR or
+// miss-queue room is probed once, then skipped until room frees, it is
+// popped, or (a load) an MSHR entry for its line appears. Four L2 MSHRs
+// per slice keep the slices saturated. The streaming loader fills the
+// MSHRs, the storer's write-throughs wait on the miss queue, and the
+// sharer's SMs share a tiny footprint, so a blocked head later merges onto
+// an entry another SM emplaced; the storer's and sharer's hits pass
+// blocked heads. The reference loop re-probes every head every cycle, so
+// it is the oracle.
+TEST(FastPathTest, L2AdmissionMemoIsByteIdentical) {
+  GpuConfig cfg = small_gpu();
+  cfg.l2.mshr_entries = 4;
+  KernelParams loader;
+  loader.name = "loader";
+  loader.num_blocks = 16;
+  loader.warps_per_block = 4;
+  loader.insns_per_warp = 300;
+  loader.mem_ratio = 0.5;
+  loader.pattern = AccessPattern::kStreaming;
+  loader.footprint_bytes = 64ull << 20;
+  loader.mlp = 8;
+  loader.seed = 21;
+  // Loads that mostly hit a hot region leave the storer's LSUs free to
+  // flood the miss queue with write-throughs.
+  KernelParams storer = loader;
+  storer.name = "storer";
+  storer.mem_ratio = 0.8;
+  storer.store_ratio = 0.3;
+  storer.pattern = AccessPattern::kTiled;
+  storer.hot_fraction = 1.0;
+  storer.hot_bytes = 4 * 1024;
+  storer.divergence = 8;
+  storer.seed = 22;
+  KernelParams sharer = loader;
+  sharer.name = "sharer";
+  sharer.mem_ratio = 0.4;
+  sharer.pattern = AccessPattern::kRandom;
+  sharer.footprint_bytes = 16 * 1024;
+  sharer.divergence = 2;
+  sharer.seed = 23;
+  const std::vector<KernelParams> kernels = {loader, storer, sharer};
+
+  RunResult results[2];
+  uint64_t probes[2] = {0, 0};
+  for (int mode = 0; mode < 2; ++mode) {
+    GpuConfig c = cfg;
+    c.skip_idle_cycles = mode == 0;
+    Gpu gpu(c);
+    for (const auto& kp : kernels) gpu.launch(kp);
+    results[mode] = gpu.run_to_completion();
+    probes[mode] = gpu.l2_head_probes();
+  }
+  expect_identical(results[0], results[1], "L2 admission memo");
+  EXPECT_LE(probes[0] * 4, probes[1])
+      << "skip-side probes " << probes[0] << " vs reference " << probes[1];
+}
+
 // --- sampled mode (SimMode::kSampled) ---
 
 KernelParams sampled_kernel(uint64_t seed) {
