@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "common/atomic_file.h"
 #include "common/check.h"
@@ -16,19 +17,23 @@ namespace {
 
 struct Field {
   std::function<std::string(const GpuConfig&)> get;
-  std::function<void(GpuConfig&, const std::string&)> set;
+  // False when the value is not a well-formed number of the field's type.
+  std::function<bool(GpuConfig&, const std::string&)> set;
 };
 
 template <typename T>
-T parse_number(const std::string& s) {
+bool parse_number(const std::string& s, T& out) {
+  // istream >> would wrap "-128" into a huge unsigned value.
+  if (std::is_unsigned_v<T> && s.front() == '-') return false;
   std::istringstream is(s);
   T v{};
   is >> v;
-  GPUMAS_CHECK_MSG(!is.fail(), "cannot parse value '" << s << "'");
+  if (is.fail()) return false;
   std::string rest;
   is >> rest;
-  GPUMAS_CHECK_MSG(rest.empty(), "trailing junk in value '" << s << "'");
-  return v;
+  if (!rest.empty()) return false;
+  out = v;
+  return true;
 }
 
 template <typename T>
@@ -40,7 +45,7 @@ Field number_field(T GpuConfig::* member) {
         return os.str();
       },
       [member](GpuConfig& c, const std::string& s) {
-        c.*member = parse_number<T>(s);
+        return parse_number(s, c.*member);
       }};
 }
 
@@ -51,7 +56,7 @@ Field cache_field(CacheConfig GpuConfig::* cache,
         return std::to_string(c.*cache.*member);
       },
       [cache, member](GpuConfig& c, const std::string& s) {
-        c.*cache.*member = parse_number<uint32_t>(s);
+        return parse_number(s, c.*cache.*member);
       }};
 }
 
@@ -206,14 +211,12 @@ void config_from_string(const std::string& text, GpuConfig& cfg) {
     GPUMAS_CHECK_MSG(it != fields().end(),
                      "unknown config key '" << key << "' (line " << line_no
                                             << ")");
-    it->second.set(cfg, value);
-    GPUMAS_CHECK_MSG(key != "max_warps_per_sm" ||
-                         (cfg.max_warps_per_sm >= 1 &&
-                          cfg.max_warps_per_sm <= kMaxWarpsPerSm),
-                     "config line " << line_no << ": max_warps_per_sm must "
-                                    << "be in [1, " << kMaxWarpsPerSm
-                                    << "]; got " << value);
+    const bool parsed = it->second.set(cfg, value);
+    GPUMAS_CHECK_MSG(parsed, "config line " << line_no << ": malformed value '"
+                                            << value << "' for '" << key
+                                            << "'");
   }
+  validate(cfg);
 }
 
 void save_config(const std::string& path, const GpuConfig& cfg) {

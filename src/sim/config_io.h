@@ -38,8 +38,10 @@ std::string group_to_string(const std::vector<uint64_t>& kernel_fps,
 //    (including CR, so CRLF files parse);
 //  - a key appearing more than once is applied in order: the last
 //    occurrence wins (matching "later file overrides earlier" layering);
-//  - unknown keys, empty values and malformed values throw
-//    std::logic_error with the offending line number.
+//  - unknown keys, empty values and malformed values (a minus sign on an
+//    unsigned field included) throw std::logic_error with the offending
+//    line number and key;
+//  - the result must pass sim::validate, or it throws naming the key.
 // Keys not mentioned keep their current value in `cfg`.
 void config_from_string(const std::string& text, GpuConfig& cfg);
 

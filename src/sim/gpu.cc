@@ -16,21 +16,20 @@ constexpr uint64_t kAppRegionLines = 1ull << 33;
 
 // Capacity of the post-MSHR miss queue in front of each DRAM channel.
 constexpr size_t kMissQueueCapacity = 96;
+
+// cfg_ is the first member, so validating in its initializer runs before
+// anything is sized from the config.
+const GpuConfig& validated(const GpuConfig& cfg) {
+  validate(cfg);
+  return cfg;
+}
 }  // namespace
 
 Gpu::Gpu(const GpuConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       sm_wake_(static_cast<size_t>(cfg.num_sms), 0),
       distributor_(cfg.num_sms),
       sampling_(cfg.sim_mode == SimMode::kSampled) {
-  GPUMAS_CHECK(cfg_.num_sms > 0);
-  GPUMAS_CHECK(cfg_.num_channels > 0);
-  if (sampling_) {
-    GPUMAS_CHECK_MSG(
-        cfg_.sample_detail_cycles > 0 && cfg_.sample_skip_cycles > 0,
-        "sampled mode needs positive sample_detail_cycles and "
-        "sample_skip_cycles");
-  }
   sms_.reserve(static_cast<size_t>(cfg_.num_sms));
   for (int i = 0; i < cfg_.num_sms; ++i) sms_.emplace_back(cfg_, i);
   slices_.reserve(static_cast<size_t>(cfg_.num_channels));

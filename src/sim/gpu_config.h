@@ -124,4 +124,13 @@ struct GpuConfig {
   uint32_t l2_slice_bytes() const { return l2.size_bytes / num_channels; }
 };
 
+// Throws std::logic_error, naming the config key, for the first field
+// outside the range the simulator's constructors assume: every count, size
+// and divisor positive, every latency non-negative, max_warps_per_sm in
+// [1, kMaxWarpsPerSm], at least one set in the L1D and in each L2 slice,
+// and positive sample periods in sampled mode. config_from_string and
+// Gpu::Gpu both call it, so a bad device config fails before anything is
+// sized from it.
+void validate(const GpuConfig& cfg);
+
 }  // namespace gpumas::sim

@@ -9,15 +9,6 @@
 namespace gpumas::sim {
 
 namespace {
-// Validated before any per-slot state is sized from it.
-int checked_warps_per_sm(int warps) {
-  GPUMAS_CHECK_MSG(warps >= 1 && warps <= kMaxWarpsPerSm,
-                   "max_warps_per_sm must be in [1, "
-                       << kMaxWarpsPerSm << "] (one bit per warp slot); got "
-                       << warps);
-  return warps;
-}
-
 // Calls fn(slot) for every set bit of `mask`, lowest slot first.
 template <typename Fn>
 void for_each_slot(uint64_t mask, Fn fn) {
@@ -29,7 +20,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(const GpuConfig& cfg,
                                                  int sm_id)
     : id_(sm_id),
       warp_size_(cfg.warp_size),
-      max_warps_(checked_warps_per_sm(cfg.max_warps_per_sm)),
+      max_warps_(cfg.max_warps_per_sm),
       max_blocks_(cfg.max_blocks_per_sm),
       num_schedulers_(cfg.schedulers_per_sm),
       alu_initiation_interval_(cfg.alu_initiation_interval),
@@ -45,7 +36,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(const GpuConfig& cfg,
       l1_(cfg.l1d),
       l1_mshr_(cfg.l1d.mshr_entries),
       fast_path_enabled_(cfg.skip_idle_cycles) {
-  GPUMAS_CHECK(num_schedulers_ >= 1);
   for (int s = 0; s < num_schedulers_; ++s) {
     for (int slot = s; slot < max_warps_; slot += num_schedulers_) {
       scheds_[static_cast<size_t>(s)].owned |= 1ull << slot;

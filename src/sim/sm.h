@@ -53,6 +53,8 @@ struct SmTickResult {
 
 class StreamingMultiprocessor {
  public:
+  // `cfg` must pass sim::validate (Gpu::Gpu checks it before building any
+  // core): per-slot state is sized from it unchecked.
   StreamingMultiprocessor(const GpuConfig& cfg, int sm_id);
 
   // --- block dispatch (called by the work distributor) ---

@@ -30,7 +30,7 @@ struct AppStats {
 };
 
 // Visits every AppStats counter of two records as (name, lhs, rhs). The
-// byte-identity gates (tests/fastpath_test.cc, micro_sim_benchmark) compare
+// byte-identity gates (tests/fastpath_test.cc, micro_benchmark sim) compare
 // through this single list, so a counter added above only needs to be added
 // here once to stay covered by both.
 template <typename Fn>

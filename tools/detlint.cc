@@ -16,8 +16,8 @@
 //                   fingerprints, store keys or result records.
 //   wall-clock      std::chrono / time / rand / random_device tokens —
 //                   wall-clock and unseeded randomness leak real time
-//                   into results. The perf-benchmark harnesses
-//                   (bench/micro_*_benchmark.cc) are exempt: measuring
+//                   into results. The micro-benchmark gates
+//                   (bench/micro_benchmark.cc) are exempt: measuring
 //                   wall time is their purpose. Library wait paths
 //                   (profile_cache.cc wait_for) carry explicit
 //                   annotations instead.
@@ -114,23 +114,17 @@ const std::set<std::string> kWallClockIdents = {
     "default_random_engine",
 };
 
-// Whole-file wall-clock exemptions: the perf-benchmark harnesses time
-// themselves by design (their wall numbers go to BENCH_*.json, never
-// into result records).
-const std::set<std::string> kWallClockExemptFiles = {
-    "micro_sim_benchmark.cc",
-    "micro_exp_benchmark.cc",
-    "micro_sample_benchmark.cc",
-};
-
-// Path-anchored wall-clock exemptions: the shard orchestrator is the
-// driver layer — it supervises worker processes with real poll
-// intervals, hang deadlines and backoff sleeps, and never computes a
-// result itself. Anchored to the repo-relative path, not the basename,
-// so a stray orchestrate.cc inside a simulation directory gets no free
-// pass (tests/detlint_fixtures/wall_clock proves exactly that).
+// Wall-clock exemptions, anchored to the repo-relative path, not the
+// basename, so a stray file of the same name elsewhere gets no free pass
+// (tests/detlint_fixtures/wall_clock proves exactly that):
+//   - the shard orchestrator is the driver layer: it supervises worker
+//     processes with real poll intervals, hang deadlines and backoff
+//     sleeps, and never computes a result itself;
+//   - the micro-benchmark gates time themselves by design; their wall
+//     numbers go to BENCH_*.json, never into result records.
 const std::vector<std::string> kWallClockExemptPaths = {
     "tools/orchestrate.cc",
+    "bench/micro_benchmark.cc",
 };
 
 // True when `path` is `suffix` or ends with "/<suffix>" — a directory
@@ -394,7 +388,6 @@ void Linter::rule_unordered_iter(const FileCtx& f) {
 }
 
 void Linter::rule_wall_clock(const FileCtx& f) {
-  if (kWallClockExemptFiles.count(f.base)) return;
   for (const std::string& exempt : kWallClockExemptPaths) {
     if (path_anchored_match(f.path, exempt)) return;
   }
